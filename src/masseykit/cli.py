@@ -195,8 +195,8 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
         if n < 2:
             raise InputError("need at least two characters")
         budget = int(job.get("budget", msy.DEFAULT_LIFT_BUDGET))
-        shape = ut.UniShape(n + 1, prime)
         try:
+            shape = ut.UniShape(n + 1, prime)
             ubar = msy.lift_search(pres, rows, shape.barred_shape(), budget)
             u = msy.lift_search(pres, rows, shape, budget)
         except ValueError as exc:
@@ -232,7 +232,10 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(f"bad character: {exc}")
     budget = int(job.get("budget", msy.DEFAULT_STATUS_BUDGET))
-    result = msy.massey_status_finite(group, chars, budget)
+    try:
+        result = msy.massey_status_finite(group, chars, budget)
+    except ValueError as exc:
+        raise InputError(str(exc))
     report["verdicts"] = {"status": result.status.value}
     report["witnesses"] = {"defining_system": _serialize_system(result.witness)}
     report["search_stats"] = result.search_stats

@@ -322,6 +322,7 @@ class _Complex:
         self.col_of = col
         self._d1 = None
         self._d1_solver = None
+        self._d1_cokernel = None
         self._z1 = None
         self._d2 = None
         self._z2 = None
@@ -366,6 +367,30 @@ class _Complex:
         if self._d1_solver is None:
             self._d1_solver = PrimeSolver(self.d1, self.p)
         return self._d1_solver
+
+    def cokernel_coords(self, x) -> np.ndarray:
+        """Coordinates in C^2 / im(d1) of a flattened 2-cochain, or of each
+        column of a matrix of them.
+
+        The coordinate functionals are the rows of the d1 solver's
+        transform past its rank, which annihilate exactly im(d1).  The
+        transform is reduced, so each such row has at most rank(d1) + 1
+        nonzero entries; keeping only those makes a projection cost
+        |G|^3 operations instead of |G|^4.
+        """
+        if self._d1_cokernel is None:
+            solver = self.d1_solver
+            rows = solver.transform[solver.rank:]
+            r, c = np.nonzero(rows)                  # row-major order
+            slot = np.arange(len(r)) - np.searchsorted(r, r)
+            cols = np.zeros((len(rows), slot.max(initial=-1) + 1),
+                            dtype=np.int64)
+            vals = np.zeros_like(cols)
+            cols[r, slot] = c
+            vals[r, slot] = rows[r, c]
+            self._d1_cokernel = (cols, vals)
+        cols, vals = self._d1_cokernel
+        return np.einsum("rw,rw...->r...", vals, np.asarray(x)[cols]) % self.p
 
     @property
     def z1(self) -> np.ndarray:

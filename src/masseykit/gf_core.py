@@ -153,19 +153,6 @@ class PrimeSolver:
         x[self.pivots] = y[: self.rank]
         return x
 
-    def solvable_mask(self, bs: np.ndarray) -> np.ndarray:
-        """Columns of ``bs`` that lie in the column space of A."""
-        y = (self.transform[self.rank:] @ (np.asarray(bs) % self.p)) % self.p
-        return ~np.any(y, axis=0)
-
-    def solve_batch(self, bs: np.ndarray):
-        """Particular solutions for every column of ``bs`` (caller must
-        restrict to solvable columns)."""
-        y = (self.transform[: self.rank] @ (np.asarray(bs) % self.p)) % self.p
-        xs = np.zeros((self.cols, bs.shape[1]), dtype=np.int64)
-        xs[self.pivots] = y
-        return xs
-
     def kernel_basis(self) -> np.ndarray:
         free = [c for c in range(self.cols) if c not in set(self.pivots)]
         basis = np.zeros((len(free), self.cols), dtype=np.int64)

@@ -10,8 +10,11 @@ slack), and each inner entry a[i][j] ranges over an affine coset
 d(a[i][j]) = -sum_l a[i][l] cup a[l][j].  The status search sweeps those
 cosets layer by layer in j - i; at the final layer the reachable value
 set is an affine subspace, so vanishing reduces to one linear solve per
-surviving combination.  The sweep is exhaustive over all defining
-systems, which makes the outcome a decision, not a heuristic.
+surviving combination.  That solve runs in coordinates on C^2 / im(d1)
+taken from the cached d1 solver (the complex's ``cokernel_coords``), so
+its matrix has only the 2 dim H^1 cup columns and no solver is built per
+decision.  The sweep is exhaustive over all defining systems, which
+makes the outcome a decision, not a heuristic.
 
 Presented groups: a character tuple lifts to the unitriangular group
 U(n+1, p), or its corner-free quotient, exactly when a defining system
@@ -37,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidSystem
+from . import gf_core
 from .cohomology import (
     Character,
     Cochain,
@@ -191,7 +195,13 @@ def _check_char_tuple(group: FiniteGroup, chars: Sequence[Character]) -> int:
 
 
 class _StatusWorkspace:
-    """Per-(group, p, chi_first, chi_last) linear machinery."""
+    """Per-(group, p, characters) linear machinery.
+
+    Vanishing tests run in the complex's coordinates on C^2 / im(d1): a
+    2-cochain lies in span(cup columns) + im(d1) iff its coordinates lie
+    in the span of the cup columns' coordinates, which is one solve on a
+    matrix with 2 dim H^1 columns and builds no solver.
+    """
 
     def __init__(self, group, p, chars):
         self.cx = cochain_complex(group, p)
@@ -203,27 +213,30 @@ class _StatusWorkspace:
     def cupflat(self, u, w):
         return np.multiply.outer(u, w).ravel() % self.p
 
-    def value_space_solver(self, first_vec, last_vec):
-        """Solver for v = sum_b s_b (chi_first cup psi_b)
-        + sum_b t_b (psi_b cup chi_last) + d(u)."""
-        from .gf_core import PrimeSolver
+    def value_cups(self, first_vec, last_vec):
+        """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
+        one column per character basis vector psi_b."""
         cols = [self.cupflat(first_vec, psi) for psi in self.z1]
         cols += [self.cupflat(psi, last_vec) for psi in self.z1]
-        mat = np.array(cols, dtype=np.int64).T if cols else \
-            np.zeros((self.cx.ne ** 2, 0), dtype=np.int64)
-        mat = np.concatenate([mat, self.cx.d1], axis=1)
-        return PrimeSolver(mat, self.p)
+        mat = np.array(cols, dtype=np.int64).reshape(len(cols),
+                                                      self.cx.ne ** 2)
+        return self.cx.cokernel_coords(mat.T)
+
+    def value_split(self, cups, value):
+        """Coefficients (s, t) with value - sum_b s_b (chi_first cup psi_b)
+        - sum_b t_b (psi_b cup chi_last) in im(d1), or None."""
+        sol = gf_core.solve_array(cups, self.cx.cokernel_coords(value),
+                                  self.p)
+        if sol is None:
+            return None
+        z = len(self.z1)
+        return sol[0][:z], sol[0][z:]
 
     def combo_vec(self, coeffs):
         vec = np.zeros(self.cx.ne, dtype=np.int64)
         for c, row in zip(coeffs, self.z1):
             vec = (vec + int(c) * row) % self.p
         return vec
-
-    def to_character(self, vec) -> Character:
-        vals = np.zeros(self.cx.group.order, dtype=np.int64)
-        vals[self.cx.nonid] = vec % self.p
-        return Character(self.cx.group, self.p, vals)
 
     def to_cochain(self, vec) -> Cochain:
         return self.cx.unflatten(vec, 1)
@@ -290,16 +303,14 @@ def _status_n3(ws, chars) -> MasseyReport:
     if f13 is None or f24 is None:
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
     value0 = (-(ws.cupflat(ws.vecs[0], f24) + ws.cupflat(f13, ws.vecs[2]))) % p
-    vsolver = ws.value_space_solver(ws.vecs[0], ws.vecs[2])
-    sol = vsolver.solve(value0)
+    sol = ws.value_split(ws.value_cups(ws.vecs[0], ws.vecs[2]), value0)
     stats["solves"] += 1
-    z = len(ws.z1)
     if sol is None:
         witness = _witness(ws, chars, {(1, 3): f13, (2, 4): f24})
         stats["certificate"] = ("value coset misses the coboundaries: "
                                 "one inconsistent linear system")
         return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING, witness, stats)
-    s_coeffs, t_coeffs = sol[:z], sol[z:2 * z]
+    s_coeffs, t_coeffs = sol
     a24 = (f24 + ws.combo_vec(s_coeffs)) % p
     a13 = (f13 + ws.combo_vec(t_coeffs)) % p
     witness = _witness(ws, chars, {(1, 3): a13, (2, 4): a24})
@@ -322,7 +333,7 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
     z = len(ws.z1)
     ne = ws.cx.ne
-    coker = ws.solver.transform[ws.solver.rank:] % p   # rows annihilate im(d1)
+    coords = ws.cx.cokernel_coords
 
     # feasibility of the third layer is linear in the middle-layer
     # coefficients (beta for a13, gamma for a24, delta for a35):
@@ -339,23 +350,21 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
     c25_0 = (-(ws.cupflat(v2, f35) + ws.cupflat(f24, v4))) % p
 
     # unknown order: beta (a13), gamma (a24), delta (a35)
-    nrows = coker.shape[0]
+    nrows = ws.solver.rows - ws.solver.rank
     lin = np.zeros((2 * nrows, 3 * z), dtype=np.int64)
     rhs = np.zeros(2 * nrows, dtype=np.int64)
-    if nrows:
-        lin[:nrows, z:2 * z] = (-coker @ cup_1_psi.T) % p
-        lin[:nrows, :z] = (-coker @ cup_psi_3.T) % p
-        rhs[:nrows] = (-(coker @ c14_0)) % p
-        lin[nrows:, 2 * z:] = (-coker @ cup_2_psi.T) % p
-        lin[nrows:, z:2 * z] = (-coker @ cup_psi_4.T) % p
-        rhs[nrows:] = (-(coker @ c25_0)) % p
-    from .gf_core import solve_array
-    feas = solve_array(lin, rhs, p)
+    lin[:nrows, z:2 * z] = (-coords(cup_1_psi.T)) % p
+    lin[:nrows, :z] = (-coords(cup_psi_3.T)) % p
+    rhs[:nrows] = (-coords(c14_0)) % p
+    lin[nrows:, 2 * z:] = (-coords(cup_2_psi.T)) % p
+    lin[nrows:, z:2 * z] = (-coords(cup_psi_4.T)) % p
+    rhs[nrows:] = (-coords(c25_0)) % p
+    feas = gf_core.solve_array(lin, rhs, p)
     if feas is None:
         stats["certificate"] = "third-layer feasibility system inconsistent"
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
     part, kernel = feas
-    kernel = np.asarray(kernel, dtype=np.int64).reshape(-1, 3 * z)
+    kernel = np.asarray(kernel, dtype=np.int64).reshape(len(kernel), 3 * z)
     n_combos = p ** len(kernel)
     stats["layer2_combos"] = n_combos
     if n_combos > budget:
@@ -363,7 +372,7 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
             f"{n_combos} feasible middle layers exceed budget {budget}",
             stats)
 
-    vsolver = ws.value_space_solver(v1, v4)
+    cups = ws.value_cups(v1, v4)
     examined = 0
     first_defined = None
     for coeffs in itertools.product(range(p), repeat=len(kernel)):
@@ -388,9 +397,9 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
             first_defined = dict(inner)
         value0 = (-(ws.cupflat(v1, f25) + ws.cupflat(a13, a35)
                     + ws.cupflat(f14, v4))) % p
-        sol = vsolver.solve(value0)
+        sol = ws.value_split(cups, value0)
         if sol is not None:
-            s_coeffs, t_coeffs = sol[:z], sol[z:2 * z]
+            s_coeffs, t_coeffs = sol
             inner[(2, 5)] = (f25 + ws.combo_vec(s_coeffs)) % p
             inner[(1, 4)] = (f14 + ws.combo_vec(t_coeffs)) % p
             stats["examined"] = examined

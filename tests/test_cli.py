@@ -142,3 +142,16 @@ def test_stdout_report(capsys):
     out = capsys.readouterr().out
     rep = json.loads(out)
     assert rep["verdicts"]["pass"] is True
+
+
+def test_massey_bad_shape_is_input_error(capsys):
+    q8 = "0,0,1,1,0,0,1,1"
+    for args in (["--group", "quaternion8", "--characters", q8],
+                 ["--group", "quaternion8",
+                  "--characters", ";".join([q8] * 5)],
+                 ["--presentation", "paper-g", "--prime", "4",
+                  "--characters", "1,1;1,0;1,0"]):
+        assert cli.main(["massey"] + args) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("input error:"), err
+        assert "Traceback" not in err
