@@ -16,11 +16,8 @@ SIGN_CONVENTION = (
 
 from . import errors  # noqa: F401,E402
 from .gf_core import (  # noqa: F401,E402
-    ModMatrix,
     SmithDecomposition,
-    rref_mod_p,
     smith_normal_form,
-    solve_mod_p,
 )
 from .unitriangular import (  # noqa: F401,E402
     UniMatrix,

@@ -197,8 +197,18 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
         budget = int(job.get("budget", msy.DEFAULT_LIFT_BUDGET))
         try:
             shape = ut.UniShape(n + 1, prime)
-            ubar = msy.lift_search(pres, rows, shape.barred_shape(), budget)
-            u = msy.lift_search(pres, rows, shape, budget)
+            shapes = (shape.barred_shape(), shape)
+            # bad characters are input errors whatever the search size;
+            # both budgets are checked before either sweep starts
+            msy._validate_char_rows(pres, rows, prime)
+            counts = [msy.lift_candidate_count(pres, sh) for sh in shapes]
+            for count in counts:
+                if count > budget:
+                    raise BudgetExceeded(
+                        f"{count} candidates exceed budget {budget}",
+                        {"candidates": count})
+            ubar = msy.lift_search(pres, rows, shapes[0], budget)
+            u = msy.lift_search(pres, rows, shapes[1], budget)
         except ValueError as exc:
             raise InputError(str(exc))
         if not ubar:
@@ -214,14 +224,8 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
             "ubar_lift": _serialize_lift(ubar[0]) if ubar else None,
             "u_lift": _serialize_lift(u[0]) if u else None,
         }
-        report["search_stats"] = {
-            "ubar_candidates": shape.prime ** (
-                len([1 for (i, j) in shape.barred_shape().positions
-                     if j != i + 1]) * pres.generator_count),
-            "u_candidates": shape.prime ** (
-                len([1 for (i, j) in shape.positions if j != i + 1])
-                * pres.generator_count),
-        }
+        report["search_stats"] = {"ubar_candidates": counts[0],
+                                  "u_candidates": counts[1]}
         return report, 0
     group = _job_group(job)
     if group is None:

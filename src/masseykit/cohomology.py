@@ -25,7 +25,9 @@ bookkeeping for Massey products exploits this.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -311,7 +313,10 @@ class _Complex:
     def __init__(self, group: FiniteGroup, p: int):
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
-        self.group = group
+        # the group caches its complexes; a strong reference back would
+        # form a cycle that keeps a dropped group's matrices alive until
+        # the cyclic garbage collector happens to run
+        self._group = weakref.ref(group)
         self.p = p
         n = group.order
         self.nonid = np.array([i for i in range(n) if i != group.identity],
@@ -328,6 +333,10 @@ class _Complex:
         self._z2 = None
         self._h2 = None
         self._h2_solver = None
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self._group()
 
     # -- flattening ---------------------------------------------------------
 
@@ -437,8 +446,13 @@ class _Complex:
     def h2(self) -> np.ndarray:
         """Rows: flattened 2-cocycles representing a basis of H^2."""
         if self._h2 is None:
-            b2_rows = self.d1.T % self.p
-            self._h2 = _extend_basis(b2_rows, self.z2, self.p)
+            # a z2 row is kept when it leaves the span of the coboundaries
+            # and of the rows before it, i.e. when its column is a pivot
+            # of [d1 | z2^T]
+            base = self.d1.shape[1]
+            _, pivots, _ = rref_array(
+                np.concatenate([self.d1, self.z2.T], axis=1), self.p)
+            self._h2 = self.z2[[c - base for c in pivots if c >= base]]
         return self._h2
 
     @property
@@ -460,32 +474,6 @@ class _Complex:
 
     def char_vec(self, c: Cochain) -> np.ndarray:
         return c.values[self.nonid].copy()
-
-
-def _extend_basis(base_rows: np.ndarray, new_rows: np.ndarray,
-                  p: int) -> np.ndarray:
-    """Rows of new_rows that extend the span of base_rows, reduced."""
-    if len(base_rows):
-        ech, pivots, rank = rref_array(base_rows, p)
-        ech = ech[:rank]
-        pivots = list(pivots)
-    else:
-        ech = np.zeros((0, new_rows.shape[1]), dtype=np.int64)
-        pivots = []
-    added = []
-    for row in new_rows:
-        r = row.copy() % p
-        for erow, pc in zip(ech, pivots):
-            if r[pc]:
-                r = (r - r[pc] * erow) % p
-        if r.any():
-            pc = int(np.nonzero(r)[0][0])
-            r = (r * pow(int(r[pc]), -1, p)) % p
-            ech = np.vstack([ech, r])
-            pivots.append(pc)
-            added.append(row % p)
-    return (np.array(added, dtype=np.int64) if added
-            else np.zeros((0, new_rows.shape[1]), dtype=np.int64))
 
 
 def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
@@ -546,18 +534,12 @@ def characters_of(group: FiniteGroup, modulus: int) -> list[Character]:
     """All of Hom(G, Z/p), the zero character first, in the deterministic
     order induced by the coefficient sweep over the canonical basis."""
     cx = cochain_complex(group, modulus)
-    basis = cx.z1
-    p = modulus
-    out = []
-    import itertools
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        vec = np.zeros(cx.ne, dtype=np.int64)
-        for c, row in zip(coeffs, basis):
-            vec = (vec + c * row) % p
-        vals = np.zeros(group.order, dtype=np.int64)
-        vals[cx.nonid] = vec
-        out.append(Character(group, p, vals))
-    return out
+    z = len(cx.z1)
+    coeffs = np.array(list(itertools.product(range(modulus), repeat=z)),
+                      dtype=np.int64).reshape(modulus ** z, z)
+    vals = np.zeros((len(coeffs), group.order), dtype=np.int64)
+    vals[:, cx.nonid] = (coeffs @ cx.z1) % modulus
+    return [Character(group, modulus, row) for row in vals]
 
 
 def bockstein(chi: Character) -> CohomClass:
@@ -731,12 +713,8 @@ def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
         cup_coords.append(cx.h2_coordinates(flat))
     cup_coords = np.array(cup_coords, dtype=np.int64).reshape(
         len(cup_coords), len(cx.h2))
-    ker_rows = []
-    for combo in nullspace_array(cup_coords.T, p) if len(cup_coords) else []:
-        vec = np.zeros(cx.ne, dtype=np.int64)
-        for c, row in zip(combo, cx.z1):
-            vec = (vec + c * row) % p
-        ker_rows.append(vec)
+    ker_rows = ((nullspace_array(cup_coords.T, p) @ cx.z1) % p
+                if len(cup_coords) else [])
 
     exact_h1 = _row_space_equal(cor_rows, ker_rows, p, cx.ne)
 

@@ -1,31 +1,26 @@
-"""Exact linear algebra over Z/m and over the integers.
+"""Exact linear algebra over Z/p and over the integers.
 
-Two layers live here.  The array layer works directly on numpy integer
-arrays and is what the cohomology solvers call in bulk: row reduction,
-nullspaces, and repeated-right-hand-side solving over a prime field.  The
-``ModMatrix`` layer is the stable entry-level contract wrapping the same
-routines.  Integer matrices get a Smith normal form with unimodular
-transforms in exact (arbitrary-precision) arithmetic; that decomposition
-backs abelianization invariants, integral kernels, and solvability of
-linear congruences mod prime powers.
+Prime fields are handled on numpy integer arrays, the one mod-p API of
+the package: row reduction, nullspaces, single solves, and a solver
+that reuses one echelon transform across many right-hand sides.
+Integer matrices get a Smith normal form with unimodular transforms in
+exact (arbitrary-precision) arithmetic; that decomposition backs
+abelianization invariants, integral kernels, and solvability of linear
+congruences mod prime powers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonPrimeModulus
 
 __all__ = [
-    "ModMatrix",
     "SmithDecomposition",
-    "rref_mod_p",
-    "solve_mod_p",
     "smith_normal_form",
     "rref_array",
     "nullspace_array",
@@ -91,34 +86,44 @@ def rref_array(a: np.ndarray, p: int):
     return work.astype(np.int64), pivots, r
 
 
-def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel mod p, one vector per row."""
-    ech, pivots, rank = rref_array(a, p)
-    cols = ech.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+def _kernel_from_echelon(ech: np.ndarray, pivots, cols: int,
+                         p: int) -> np.ndarray:
+    """Right-kernel basis, one vector per free column, read off a reduced
+    echelon form whose leading rows carry ``pivots``; only the first
+    ``cols`` columns are read."""
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r_i, pc in enumerate(pivots):
-            basis[k, pc] = (-ech[r_i, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-ech[:len(pivots), free].T) % p
     return basis
 
 
+def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel mod p, one vector per row."""
+    ech, pivots, _ = rref_array(a, p)
+    return _kernel_from_echelon(ech, pivots, ech.shape[1], p)
+
+
 def solve_array(a: np.ndarray, b: np.ndarray, p: int):
-    """Solve a.x = b mod p.  Returns (particular, kernel_basis) or None."""
+    """Solve a.x = b mod p.  Returns (particular, kernel_basis) or None.
+
+    One row reduction of [a | b] gives both: when the system is
+    consistent every pivot lies in the a-block, and that block of the
+    echelon form is the reduced echelon form of a.
+    """
     a = np.asarray(a) % p
     b = np.asarray(b) % p
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch("matrix and right-hand side disagree")
+    cols = a.shape[1]
     aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
     ech, pivots, rank = rref_array(aug, p)
-    cols = a.shape[1]
     if pivots and pivots[-1] == cols:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r_i, pc in enumerate(pivots):
-        x[pc] = ech[r_i, cols]
-    return x, nullspace_array(a, p)
+    x[pivots] = ech[:rank, cols]
+    return x, _kernel_from_echelon(ech, pivots, cols, p)
 
 
 class PrimeSolver:
@@ -154,90 +159,8 @@ class PrimeSolver:
         return x
 
     def kernel_basis(self) -> np.ndarray:
-        free = [c for c in range(self.cols) if c not in set(self.pivots)]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for r_i, pc in enumerate(self.pivots):
-                basis[k, pc] = (-self.echelon[r_i, fc]) % self.p
-        return basis
-
-
-# ---------------------------------------------------------------------------
-# entry-level contract
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModMatrix:
-    """Dense matrix over Z/modulus, entries reduced into [0, modulus)."""
-
-    rows: int
-    cols: int
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch("entry count does not match rows*cols")
-        if any(not (0 <= e < self.modulus) for e in self.entries):
-            object.__setattr__(
-                self, "entries",
-                tuple(e % self.modulus for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int) -> "ModMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise DimensionMismatch("ragged rows")
-        flat = tuple(int(e) % modulus for r in rows for e in r)
-        return cls(n, m, modulus, flat)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-        a.setflags(write=False)
-        return a
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
-
-def rref_mod_p(m: ModMatrix):
-    """Reduced row-echelon form of a prime-modulus matrix.
-
-    Returns ``(echelon, pivots, rank)``; the row space is preserved.
-    """
-    if not is_prime(m.modulus):
-        raise NonPrimeModulus(f"modulus {m.modulus} is not prime")
-    ech, pivots, rank = rref_array(m.array, m.modulus)
-    out = ModMatrix(m.rows, m.cols, m.modulus, tuple(int(x) for x in ech.ravel()))
-    return out, pivots, rank
-
-
-def solve_mod_p(a: ModMatrix, b: Sequence[int]):
-    """Solve a.x = b over the prime field Z/p.
-
-    Returns ``(particular, kernel_basis)`` with the kernel basis spanning
-    the full solution set, or ``None`` when the system is inconsistent.
-    """
-    if not is_prime(a.modulus):
-        raise NonPrimeModulus(f"modulus {a.modulus} is not prime")
-    b = list(b)
-    if len(b) != a.rows:
-        raise DimensionMismatch("right-hand side length != row count")
-    res = solve_array(a.array, np.array(b, dtype=np.int64), a.modulus)
-    if res is None:
-        return None
-    x, kernel = res
-    return [int(v) for v in x], [[int(v) for v in row] for row in kernel]
+        return _kernel_from_echelon(self.echelon, self.pivots, self.cols,
+                                    self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +183,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-
-def _mat_mul_int(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:

@@ -562,7 +562,7 @@ def subgroup_from_members(parent: FiniteGroup,
     return SubgroupData(parent, members, tuple(transversal), sub, pos)
 
 
-def _closure_members(g: FiniteGroup, seed) -> frozenset:
+def _generated_members(g: FiniteGroup, seed) -> frozenset:
     members = {g.identity}
     frontier = [s for s in seed]
     members.update(frontier)
@@ -613,9 +613,9 @@ def enumerate_subgroups(g: FiniteGroup) -> list[SubgroupData]:
             f"subgroup enumeration capped at order {SUBGROUP_ORDER_LIMIT}")
     found = {frozenset([g.identity])}
     for a in range(g.order):
-        found.add(_closure_members(g, [a]))
+        found.add(_generated_members(g, [a]))
         for b in range(a + 1, g.order):
-            found.add(_closure_members(g, [a, b]))
+            found.add(_generated_members(g, [a, b]))
     while True:
         new = set()
         current = list(found)
@@ -623,7 +623,7 @@ def enumerate_subgroups(g: FiniteGroup) -> list[SubgroupData]:
             for t in current[i + 1:]:
                 if s <= t or t <= s:
                     continue
-                j = _closure_members(g, s | t)
+                j = _generated_members(g, s | t)
                 if j not in found:
                     new.add(j)
         if not new:
@@ -831,7 +831,7 @@ def _generating_sequence(g: FiniteGroup) -> list[int]:
     while len(reached) < g.order:
         nxt = min(i for i in range(g.order) if i not in reached)
         gens.append(nxt)
-        reached = _closure_members(g, gens)
+        reached = _generated_members(g, gens)
     return gens
 
 

@@ -75,6 +75,7 @@ __all__ = [
     "layered_search",
     "UniLift",
     "lift_search",
+    "lift_candidate_count",
     "induced_images",
     "defining_system_from_lift",
     "lift_obstruction",
@@ -89,7 +90,7 @@ __all__ = [
 ]
 
 DEFAULT_STATUS_BUDGET = 2 ** 20
-DEFAULT_LIFT_BUDGET = 2 ** 24
+DEFAULT_LIFT_BUDGET = 2 ** 20
 STATUS_ORDER_LIMIT = 32
 _LIFT_CHUNK = 2 ** 14
 
@@ -213,14 +214,19 @@ class _StatusWorkspace:
     def cupflat(self, u, w):
         return np.multiply.outer(u, w).ravel() % self.p
 
+    def cup_columns(self, left, right):
+        """Flattened cups left[k] cup right[k], one column per k; a single
+        vector on one side is paired with every row on the other."""
+        left, right = np.atleast_2d(left), np.atleast_2d(right)
+        cups = left[:, :, None] * right[:, None, :]
+        return (cups.reshape(len(cups), self.cx.ne ** 2) % self.p).T
+
     def value_cups(self, first_vec, last_vec):
         """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
         one column per character basis vector psi_b."""
-        cols = [self.cupflat(first_vec, psi) for psi in self.z1]
-        cols += [self.cupflat(psi, last_vec) for psi in self.z1]
-        mat = np.array(cols, dtype=np.int64).reshape(len(cols),
-                                                      self.cx.ne ** 2)
-        return self.cx.cokernel_coords(mat.T)
+        return self.cx.cokernel_coords(np.concatenate(
+            [self.cup_columns(first_vec, self.z1),
+             self.cup_columns(self.z1, last_vec)], axis=1))
 
     def value_split(self, cups, value):
         """Coefficients (s, t) with value - sum_b s_b (chi_first cup psi_b)
@@ -233,10 +239,7 @@ class _StatusWorkspace:
         return sol[0][:z], sol[0][z:]
 
     def combo_vec(self, coeffs):
-        vec = np.zeros(self.cx.ne, dtype=np.int64)
-        for c, row in zip(coeffs, self.z1):
-            vec = (vec + int(c) * row) % self.p
-        return vec
+        return (np.asarray(coeffs, dtype=np.int64) @ self.z1) % self.p
 
     def to_cochain(self, vec) -> Cochain:
         return self.cx.unflatten(vec, 1)
@@ -332,20 +335,11 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
     if f13 is None or f24 is None or f35 is None:
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
     z = len(ws.z1)
-    ne = ws.cx.ne
     coords = ws.cx.cokernel_coords
 
     # feasibility of the third layer is linear in the middle-layer
     # coefficients (beta for a13, gamma for a24, delta for a35):
     #   c14 = -(chi1 cup a24 + a13 cup chi3), c25 = -(chi2 cup a35 + a24 cup chi4)
-    cup_1_psi = np.array([ws.cupflat(v1, psi) for psi in ws.z1]
-                         ).reshape(z, ne * ne)
-    cup_psi_3 = np.array([ws.cupflat(psi, v3) for psi in ws.z1]
-                         ).reshape(z, ne * ne)
-    cup_2_psi = np.array([ws.cupflat(v2, psi) for psi in ws.z1]
-                         ).reshape(z, ne * ne)
-    cup_psi_4 = np.array([ws.cupflat(psi, v4) for psi in ws.z1]
-                         ).reshape(z, ne * ne)
     c14_0 = (-(ws.cupflat(v1, f24) + ws.cupflat(f13, v3))) % p
     c25_0 = (-(ws.cupflat(v2, f35) + ws.cupflat(f24, v4))) % p
 
@@ -353,11 +347,11 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
     nrows = ws.solver.rows - ws.solver.rank
     lin = np.zeros((2 * nrows, 3 * z), dtype=np.int64)
     rhs = np.zeros(2 * nrows, dtype=np.int64)
-    lin[:nrows, z:2 * z] = (-coords(cup_1_psi.T)) % p
-    lin[:nrows, :z] = (-coords(cup_psi_3.T)) % p
+    lin[:nrows, z:2 * z] = (-coords(ws.cup_columns(v1, ws.z1))) % p
+    lin[:nrows, :z] = (-coords(ws.cup_columns(ws.z1, v3))) % p
     rhs[:nrows] = (-coords(c14_0)) % p
-    lin[nrows:, 2 * z:] = (-coords(cup_2_psi.T)) % p
-    lin[nrows:, z:2 * z] = (-coords(cup_psi_4.T)) % p
+    lin[nrows:, 2 * z:] = (-coords(ws.cup_columns(v2, ws.z1))) % p
+    lin[nrows:, z:2 * z] = (-coords(ws.cup_columns(ws.z1, v4))) % p
     rhs[nrows:] = (-coords(c25_0)) % p
     feas = gf_core.solve_array(lin, rhs, p)
     if feas is None:
@@ -376,9 +370,7 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
     examined = 0
     first_defined = None
     for coeffs in itertools.product(range(p), repeat=len(kernel)):
-        combo = part.copy()
-        for c, krow in zip(coeffs, kernel):
-            combo = (combo + c * krow) % p
+        combo = (part + np.array(coeffs, dtype=np.int64) @ kernel) % p
         beta, gamma, delta = combo[:z], combo[z:2 * z], combo[2 * z:]
         a13 = (f13 + ws.combo_vec(beta)) % p
         a24 = (f24 + ws.combo_vec(gamma)) % p
@@ -535,6 +527,13 @@ def _validate_char_rows(pres: Presentation, char_rows, p: int):
     return rows
 
 
+def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
+    """Number of candidate generator images lift_search sweeps: every
+    entry off the superdiagonal is free, for every generator."""
+    free = sum(1 for (i, j) in shape.positions if j != i + 1)
+    return shape.prime ** (free * pres.generator_count)
+
+
 def lift_search(pres: Presentation, char_rows, shape: UniShape,
                 budget: int = DEFAULT_LIFT_BUDGET) -> list[UniLift]:
     """All homomorphisms into the shape lifting the character tuple.
@@ -552,7 +551,7 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     gens = pres.generator_count
     free_pos = [(i, j) for (i, j) in shape.positions if j != i + 1]
     f = len(free_pos)
-    total = p ** (f * gens)
+    total = lift_candidate_count(pres, shape)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidates exceed budget {budget}",
@@ -871,5 +870,5 @@ def verify_worked_example() -> WorkedExampleReport:
         chi_lifts_mod4=lift4 is not None,
         ubar_lift_count=len(ubar),
         u_lift_count=len(u),
-        u_candidates=2 ** 6,
+        u_candidates=lift_candidate_count(pres, sh4),
     )

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, InternalInconsistency, ShapeMismatch
 from .gf_core import integer_kernel_basis, is_prime, solve_integer
+from .groups import closure_group
 
 __all__ = [
     "UniShape",
@@ -284,22 +285,6 @@ class ResolutionReport:
     squares_commute: bool
 
 
-def _closure(gens):
-    shape = gens[0].shape
-    elems = [identity(shape)]
-    index = {elems[0].entries: 0}
-    queue = [elems[0]]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = uni_mul(x, g)
-            if y.entries not in index:
-                index[y.entries] = len(elems)
-                elems.append(y)
-                queue.append(y)
-    return elems
-
-
 class _CosetModule:
     """Free Z-module on the left cosets g*K of a subgroup K of U3."""
 
@@ -395,10 +380,10 @@ def verify_u3_resolution() -> ResolutionReport:
     t = commutator(s1, s2)
     elements = enumerate_group(shape)
 
-    mod_s2t = _CosetModule(elements, _closure([s2, t]))
-    mod_s2 = _CosetModule(elements, _closure([s2]))
-    mod_s1t = _CosetModule(elements, _closure([s1, t]))
-    mod_s1 = _CosetModule(elements, _closure([s1]))
+    mod_s2t = _CosetModule(elements, closure_group([s2, t]).elements)
+    mod_s2 = _CosetModule(elements, closure_group([s2]).elements)
+    mod_s1t = _CosetModule(elements, closure_group([s1, t]).elements)
+    mod_s1 = _CosetModule(elements, closure_group([s1]).elements)
     triv = _TrivialModule()
     e = identity(shape)
 

@@ -1,5 +1,7 @@
-"""The benchmark's quick mode, run as a test so that its harness and its
-own arithmetic checks (witnesses, cross-route verdicts) keep working."""
+"""The benchmark's quick mode, run as a test so that its harness, its own
+arithmetic checks (witnesses, cross-route verdicts) and its tracer keep
+working.  The tracer wraps library functions by name, so renaming one of
+them fails here rather than in the benchmark."""
 
 import json
 import os
@@ -9,13 +11,29 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_finite_status_quick_run_is_correct():
+def _quick_traced_run(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"),
-         "--workload", "finite-status", "--seed", "1", "--seconds", "1",
-         "--quick", "--trace", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "1",
+         "--quick", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+    return result
+
+
+def test_finite_status_quick_run_is_correct():
+    metrics = _quick_traced_run("finite-status")["metrics"]
+    # one row reduction per solve_array, and no solver built per tuple
+    assert metrics["gf_core.rref_calls"]["value"] < 2.0
+    assert metrics["gf_core.solver_builds"]["value"] == 0
+
+
+def test_presentation_lifts_quick_run_is_correct():
+    _quick_traced_run("presentation-lifts")
+
+
+def test_cli_jobs_quick_run_is_correct():
+    _quick_traced_run("cli-jobs")

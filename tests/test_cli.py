@@ -1,6 +1,9 @@
+import hashlib
 import json
+import time
 
 from masseykit import cli
+from masseykit import groups as grp
 
 
 def run(args, tmp_path, name="report.json"):
@@ -150,8 +153,69 @@ def test_massey_bad_shape_is_input_error(capsys):
                  ["--group", "quaternion8",
                   "--characters", ";".join([q8] * 5)],
                  ["--presentation", "paper-g", "--prime", "4",
-                  "--characters", "1,1;1,0;1,0"]):
+                  "--characters", "1,1;1,0;1,0"],
+                 ["--presentation", "paper-g", "--budget", "4",
+                  "--characters", "1,1,1;1,0;1,0"]):
         assert cli.main(["massey"] + args) == 1, args
         err = capsys.readouterr().err
         assert err.startswith("input error:"), err
         assert "Traceback" not in err
+
+
+def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):
+    # four characters on elementary(2,4): 2^20 barred candidates fit the
+    # default budget, the 2^24 unbarred ones do not, and the job must stop
+    # before sweeping the barred shape
+    pres = grp.catalog("elementary(2,4)").known_presentation
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "type": "presentation", "generators": pres.generator_count,
+        "relators": [list(r) for r in pres.relators],
+        "characters": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                       [0, 0, 0, 1]]}))
+    start = time.perf_counter()
+    assert cli.main(["massey", "--input", str(doc)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert str(2 ** 24) in capsys.readouterr().err
+
+
+Q44_N3 = [[0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0]] * 3
+Q44_N4 = [[0, 1] * 8] * 4
+
+# sha256 of the reports of fixed jobs; a change that keeps the verdicts,
+# witnesses and counts keeps every byte
+PINNED_REPORTS = [
+    (["massey", "--presentation", "paper-g", "--characters", "1,1;1,0;1,0"],
+     None,
+     "3d552824f7c71040c41093809a103a314c0832c024861882e30076e47c3d6d98"),
+    (["massey"],
+     {"type": "finite-group", "group": "quaternion8", "prime": 2,
+      "characters": [[0, 0, 1, 1, 0, 0, 1, 1], [0] * 8,
+                     [0, 0, 0, 0, 1, 1, 1, 1]]},
+     "c59c752e9265707ea90c30953095e7aefcf88e91c19ad1da9315340d7de6b3b1"),
+    (["massey"],
+     {"type": "finite-group", "group": "product(4,4)", "prime": 2,
+      "characters": Q44_N3},
+     "83bb0671cf58d684aa7aabcfb9fb70de92c62ac965e5c36e51f7a24c75cdcafc"),
+    (["massey"],
+     {"type": "finite-group", "group": "product(4,4)", "prime": 2,
+      "characters": Q44_N4},
+     "79de8c0e79a011d6ffd2fe73505c5a6581d9a47edcc4023e55c7a3536b4463a2"),
+    (["cohomology", "--group", "dihedral(8)"], None,
+     "c1af317df14a4dab7daaee311b0bb79228f8a00b5a52b7ec4f67c2569103743c"),
+    (["cohomology", "--group", "elementary(2,3)"], None,
+     "59cb9fadf7c27a711c7b2de0e48bbff9389b93794c044837628c5919c47670bc"),
+    (["verify", "--scenario", "u3-resolution"], None,
+     "db18955c352a4de245575e5ca16d2ff4e9b71a9bb3a49a1884d33af062f230e6"),
+]
+
+
+def test_reports_match_pinned_digests(tmp_path):
+    for k, (args, document, digest) in enumerate(PINNED_REPORTS):
+        if document is not None:
+            doc = tmp_path / f"job{k}.json"
+            doc.write_text(json.dumps(document))
+            args = args + ["--input", str(doc)]
+        out = tmp_path / f"report{k}.json"
+        assert cli.main(args + ["--output", str(out)]) == 0, args
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -609,3 +611,19 @@ def test_character_validation():
     chm.Character(z2, 4, [0, 1], twist=theta)  # 1 + 3*1 = 0 mod 4
     with pytest.raises(ValueError):
         chm.Character(z2, 4, [0, 1])           # untwisted: 1+1 != 0 mod 4
+
+
+def test_dropped_group_frees_its_complex_without_gc():
+    # the cached complex must not point back at its group strongly, or a
+    # dropped group keeps its matrices until the cyclic collector runs
+    g = gr.catalog("dihedral(8)")
+    cx = chm.cochain_complex(g, 2)
+    cx.d1_solver
+    ref = weakref.ref(cx)
+    del cx
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -5,32 +5,29 @@ import numpy as np
 import pytest
 
 from masseykit import gf_core as gf
-from masseykit.errors import DimensionMismatch, NonPrimeModulus
+from masseykit.errors import DimensionMismatch
 
 from helpers import bareiss_det
 
 
 def test_rref_identity_mod_2():
-    m = gf.ModMatrix.from_rows([[1, 0], [0, 1]], 2)
-    ech, pivots, rank = gf.rref_mod_p(m)
-    assert ech.row_lists() == [[1, 0], [0, 1]]
+    ech, pivots, rank = gf.rref_array(np.array([[1, 0], [0, 1]]), 2)
+    assert ech.tolist() == [[1, 0], [0, 1]]
     assert pivots == [0, 1]
     assert rank == 2
 
 
 def test_rref_zero_mod_3():
-    m = gf.ModMatrix.from_rows([[0] * 3] * 3, 3)
-    ech, pivots, rank = gf.rref_mod_p(m)
-    assert ech.row_lists() == [[0, 0, 0]] * 3
+    ech, pivots, rank = gf.rref_array(np.zeros((3, 3), dtype=np.int64), 3)
+    assert ech.tolist() == [[0, 0, 0]] * 3
     assert pivots == []
     assert rank == 0
 
 
 def test_rref_hand_reduction():
     # hand row-reduction: subtract row 1 from row 2
-    m = gf.ModMatrix.from_rows([[1, 1], [1, 1]], 2)
-    ech, pivots, rank = gf.rref_mod_p(m)
-    assert ech.row_lists() == [[1, 1], [0, 0]]
+    ech, pivots, rank = gf.rref_array(np.array([[1, 1], [1, 1]]), 2)
+    assert ech.tolist() == [[1, 1], [0, 0]]
     assert rank == 1
 
 
@@ -46,25 +43,19 @@ def test_rref_preserves_row_space():
             assert gf.rref_array(stacked, p)[2] == rank
 
 
-def test_rref_rejects_composite_modulus():
-    with pytest.raises(NonPrimeModulus):
-        gf.rref_mod_p(gf.ModMatrix.from_rows([[1]], 4))
-
-
 def test_solve_identity():
-    a = gf.ModMatrix.from_rows([[1, 0], [0, 1]], 3)
-    res = gf.solve_mod_p(a, [2, 1])
+    res = gf.solve_array(np.array([[1, 0], [0, 1]]), np.array([2, 1]), 3)
     assert res is not None
     particular, kernel = res
-    assert particular == [2, 1]
-    assert kernel == []
+    assert particular.tolist() == [2, 1]
+    assert kernel.tolist() == []
 
 
 def test_solve_zero_map():
-    a = gf.ModMatrix.from_rows([[0, 0], [0, 0]], 2)
-    particular, kernel = gf.solve_mod_p(a, [0, 0])
-    assert particular == [0, 0]
-    assert sorted(kernel) == [[0, 1], [1, 0]]
+    particular, kernel = gf.solve_array(np.zeros((2, 2), dtype=np.int64),
+                                        np.array([0, 0]), 2)
+    assert particular.tolist() == [0, 0]
+    assert sorted(kernel.tolist()) == [[0, 1], [1, 0]]
 
 
 def test_solve_exhaustive_oracle():
@@ -72,17 +63,15 @@ def test_solve_exhaustive_oracle():
     a = np.array([[1, 1]])
     solutions = {tuple(v) for v in itertools.product(range(2), repeat=2)
                  if (a @ v) % 2 == 1}
-    particular, kernel = gf.solve_mod_p(gf.ModMatrix.from_rows([[1, 1]], 2), [1])
+    particular, kernel = gf.solve_array(a, np.array([1]), 2)
     assert tuple(particular) in solutions
     assert len(kernel) == 1
-    reached = {tuple((np.array(particular) + c * np.array(kernel[0])) % 2)
-               for c in range(2)}
+    reached = {tuple((particular + c * kernel[0]) % 2) for c in range(2)}
     assert reached == solutions
 
 
 def test_solve_inconsistent():
-    a = gf.ModMatrix.from_rows([[0, 0]], 2)
-    assert gf.solve_mod_p(a, [1]) is None
+    assert gf.solve_array(np.array([[0, 0]]), np.array([1]), 2) is None
 
 
 def test_solve_resubstitution_random():
@@ -115,10 +104,25 @@ def test_rank_nullity_exhaustive_kernel():
         assert int(in_kernel.sum()) == p ** (cols - rank)
 
 
+def test_solve_kernel_is_the_nullspace():
+    # the kernel read off the echelon of [a | b] is the basis that
+    # nullspace_array and PrimeSolver give for a alone
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+            a = np.array([[rng.randrange(p) for _ in range(cols)]
+                          for _ in range(rows)])
+            b = (a @ np.array([rng.randrange(p) for _ in range(cols)])) % p
+            particular, kernel = gf.solve_array(a, b, p)
+            assert np.array_equal((a @ particular) % p, b)
+            assert np.array_equal(kernel, gf.nullspace_array(a, p))
+            assert np.array_equal(kernel, gf.PrimeSolver(a, p).kernel_basis())
+
+
 def test_solve_dimension_mismatch():
-    a = gf.ModMatrix.from_rows([[1, 0]], 2)
     with pytest.raises(DimensionMismatch):
-        gf.solve_mod_p(a, [1, 0])
+        gf.solve_array(np.array([[1, 0]]), np.array([1, 0]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,3 @@ def test_solve_congruence():
         spanned |= {(x + c * g[0]) % 4 for x in spanned for c in range(4)}
     assert spanned == {0, 2}
 
-
-def test_modmatrix_reduces_entries():
-    m = gf.ModMatrix(1, 2, 3, (4, -1))
-    assert m.entries == (1, 2)

@@ -180,7 +180,7 @@ def test_catalog_generators_generate():
     for name in ("cyclic(8)", "product(2,4)", "dihedral(8)", "quaternion8",
                  "u3(2)", "elementary(2,3)"):
         g = gr.catalog(name)
-        reached = gr._closure_members(g, g.generator_map)
+        reached = gr._generated_members(g, g.generator_map)
         assert len(reached) == g.order
 
 
