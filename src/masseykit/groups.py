@@ -53,6 +53,8 @@ Word = tuple[int, ...]
 
 DEFAULT_CLOSURE_BUDGET = 4096
 SUBGROUP_ORDER_LIMIT = 64
+# entries per block of the associativity check (2 MiB per int64 block)
+_ASSOCIATIVITY_BLOCK = 2 ** 18
 
 
 def _check_word(w: Sequence[int]) -> Word:
@@ -123,10 +125,13 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("table has no two-sided identity")
-        left = mul[mul]              # left[a, b, c] = (a*b)*c
-        right = mul[:, mul]          # right[a, b, c] = a*(b*c)
-        if not np.array_equal(left, right):
-            raise ValueError("table is not associative")
+        # (a*b)*c against a*(b*c), over blocks of rows a so that no
+        # order^3 array is built
+        block = max(1, _ASSOCIATIVITY_BLOCK // (n * n))
+        for a0 in range(0, n, block):
+            rows = mul[a0:a0 + block]
+            if not np.array_equal(mul[rows], rows[:, mul]):
+                raise ValueError("table is not associative")
         inv = np.full(n, -1, dtype=np.int64)
         for a in range(n):
             hits = np.nonzero(mul[a] == identity)[0]

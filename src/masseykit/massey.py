@@ -63,7 +63,14 @@ from .groups import (
     kernel_of_character,
     reidemeister_schreier,
 )
-from .unitriangular import UniMatrix, UniShape, from_entries, project_bar
+from .unitriangular import (
+    UniMatrix,
+    UniShape,
+    _packed_inv,
+    _packed_mul,
+    _position_index,
+    project_bar,
+)
 
 __all__ = [
     "MasseyStatus",
@@ -488,6 +495,38 @@ def layered_search(group: FiniteGroup, chars: Sequence[Character],
 # unitriangular lifts of presented groups
 # ---------------------------------------------------------------------------
 
+def _check_lifts(pres: Presentation, shape: UniShape, packed,
+                 characters) -> None:
+    """Check a batch of lifts given as a (lifts, generators, positions)
+    int64 array of packed ``UniMatrix`` entries: there is one character
+    per superdiagonal entry, every relator evaluates to the identity, and
+    the superdiagonal carries the characters.
+
+    The relators are evaluated on the packed entries themselves, with the
+    product plan of ``uni_mul`` and the inverse iteration of ``uni_inv``.
+    """
+    n = shape.size - 1
+    if len(characters) != n:
+        raise InvalidSystem("character count must match the shape")
+    gens = packed.shape[1]
+    inverses = _packed_inv(packed, shape)
+    for r in pres.relators:
+        acc = np.zeros((packed.shape[0], packed.shape[2]), dtype=np.int64)
+        for x in r:
+            g = abs(x) - 1
+            acc = _packed_mul(acc, packed[:, g] if x > 0 else inverses[:, g],
+                              shape)
+        if acc.any():
+            raise InvalidSystem(f"relator {r} not satisfied by images")
+    index = _position_index(shape.size, shape.barred)
+    diagonal = [index[(i, i + 1)] for i in range(1, n + 1)]
+    values = np.array([[characters[i][g] % shape.prime for g in range(gens)]
+                       for i in range(n)], dtype=np.int64)
+    if (packed[:, :, diagonal] != values.T).any():
+        raise InvalidSystem(
+            "superdiagonal entries disagree with the characters")
+
+
 @dataclass(frozen=True)
 class UniLift:
     """A homomorphism from a presentation into a unitriangular shape,
@@ -499,17 +538,30 @@ class UniLift:
     characters: tuple[tuple[int, ...], ...]   # per character: generator values
 
     def __post_init__(self):
-        n = self.shape.size - 1
-        if len(self.characters) != n:
-            raise InvalidSystem("character count must match the shape")
-        for r in self.presentation.relators:
-            if not evaluate_word(r, self.images).is_identity():
-                raise InvalidSystem(f"relator {r} not satisfied by images")
-        for g, img in enumerate(self.images):
-            for i in range(1, self.shape.size):
-                if img.entry(i, i + 1) != self.characters[i - 1][g] % self.shape.prime:
-                    raise InvalidSystem(
-                        "superdiagonal entries disagree with the characters")
+        if any(m.shape != self.shape for m in self.images):
+            raise InvalidSystem("images do not live in the lift's shape")
+        packed = np.array([m.entries for m in self.images], dtype=np.int64)
+        _check_lifts(self.presentation, self.shape,
+                     packed.reshape(1, len(self.images),
+                                    len(self.shape.positions)),
+                     self.characters)
+
+
+def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
+                       characters) -> list[UniLift]:
+    """UniLift objects for a batch of packed lifts, checked once as a
+    batch instead of once per object."""
+    _check_lifts(pres, shape, packed, characters)
+    lifts = []
+    for row in packed.tolist():
+        lift = object.__new__(UniLift)
+        object.__setattr__(lift, "presentation", pres)
+        object.__setattr__(lift, "shape", shape)
+        object.__setattr__(lift, "images",
+                           tuple(UniMatrix(shape, tuple(e)) for e in row))
+        object.__setattr__(lift, "characters", characters)
+        lifts.append(lift)
+    return lifts
 
 
 def _validate_char_rows(pres: Presentation, char_rows, p: int):
@@ -541,7 +593,10 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     Per generator the superdiagonal is frozen to the character values and
     the remaining entries are swept exhaustively; candidates are ordered
     lexicographically over (generator, free position, value) and relators
-    are evaluated by chunked batched matrix products.
+    are evaluated by chunked batched matrix products.  The lifts found in
+    a chunk are then re-verified in one batched pass over their packed
+    entries (relators, superdiagonal, character count), independently of
+    the sweep's products.
     """
     p = shape.prime
     n = shape.size - 1
@@ -567,6 +622,9 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
         base.append(m)
 
     corner = (0, s - 1)
+    rows_of = np.array([i - 1 for (i, _) in shape.positions], dtype=np.intp)
+    cols_of = np.array([j - 1 for (_, j) in shape.positions], dtype=np.intp)
+    characters = tuple(rows)
 
     def batch_inverse(ms):
         nil = ms - eye
@@ -606,15 +664,13 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
             ok &= (prod == eye).all(axis=(1, 2))
             if not ok.any():
                 break
-        for c in np.nonzero(ok)[0]:
-            images = []
-            for g in range(gens):
-                dense = stacks[g][c]
-                entries = {(i, j): int(dense[i - 1, j - 1])
-                           for (i, j) in shape.positions}
-                images.append(from_entries(shape, entries))
-            out.append(UniLift(pres, shape, tuple(images),
-                               tuple(tuple(r) for r in rows)))
+        hits = np.nonzero(ok)[0]
+        if hits.size:
+            packed = np.empty((hits.size, gens, len(rows_of)),
+                              dtype=np.int64)
+            for g, ms in enumerate(stacks):
+                packed[:, g] = ms[hits][:, rows_of, cols_of]
+            out.extend(_lifts_from_packed(pres, shape, packed, characters))
     return out
 
 

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceeded, InternalInconsistency, ShapeMismatch
 from .gf_core import integer_kernel_basis, is_prime, solve_integer
 from .groups import closure_group
@@ -172,6 +174,37 @@ def _mul_plan(size: int, barred: bool):
         plan.append(tuple((pidx[(i, l)], pidx[(l, j)])
                           for l in range(i + 1, j)))
     return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _mul_index(size: int, barred: bool):
+    """``_mul_plan`` as index arrays for products of packed entry arrays:
+    the left and right slot of every inner pair, and a 0/1 matrix that
+    sums each pair's product into its output slot."""
+    plan = _mul_plan(size, barred)
+    pairs = [(k, ka, kb) for k, inner in enumerate(plan)
+             for (ka, kb) in inner]
+    left = np.array([ka for _, ka, _ in pairs], dtype=np.intp)
+    right = np.array([kb for _, _, kb in pairs], dtype=np.intp)
+    scatter = np.zeros((len(pairs), len(plan)), dtype=np.int64)
+    scatter[np.arange(len(pairs)), [k for k, _, _ in pairs]] = 1
+    return left, right, scatter
+
+
+def _packed_mul(a, b, shape: UniShape):
+    """``uni_mul`` over int64 arrays whose last axis holds packed entries."""
+    left, right, scatter = _mul_index(shape.size, shape.barred)
+    return (a + b + (a[..., left] * b[..., right]) @ scatter) % shape.prime
+
+
+def _packed_inv(a, shape: UniShape):
+    """``uni_inv`` over packed entry arrays, by the iteration of
+    ``_inv_entries``."""
+    left, right, scatter = _mul_index(shape.size, shape.barred)
+    x = np.zeros_like(a)
+    for _ in range(shape.size - 1):
+        x = -(a + (a[..., left] * x[..., right]) @ scatter) % shape.prime
+    return x
 
 
 def uni_mul(a: UniMatrix, b: UniMatrix) -> UniMatrix:

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -32,7 +34,14 @@ def test_finite_status_quick_run_is_correct():
 
 
 def test_presentation_lifts_quick_run_is_correct():
-    _quick_traced_run("presentation-lifts")
+    metrics = _quick_traced_run("presentation-lifts")["metrics"]
+    # found lifts are checked in one batched pass over packed entries,
+    # not by a Python walk of every relator per lift
+    assert metrics["groups.evaluate_word_calls"]["value"] == 0
+    assert metrics["unitriangular.uni_mul_calls"]["value"] == 0
+    # the same lifts as before that change, at this seed
+    assert metrics["massey.lifts_found"]["value"] == pytest.approx(716.47,
+                                                                  abs=0.005)
 
 
 def test_cli_jobs_quick_run_is_correct():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,28 @@ def test_finite_group_rejects_bad_tables():
            [3, 2, 4, 0, 1],
            [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError):
+        gr.FiniteGroup(bad)
+
+
+def test_associativity_check_stays_small_and_still_rejects():
+    # U(3,5) has order 125: the check runs over several row blocks and
+    # never builds the two order^3 arrays (32 MiB together)
+    sh = ut.UniShape(3, 5)
+    tracemalloc.start()
+    try:
+        g = gr.closure_group([ut.sigma(sh, 1), ut.sigma(sh, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 125
+    assert peak < 8 * 2 ** 20
+    # swapping two products in the last row keeps the identity row and
+    # column but breaks associativity
+    bad = g.mul.copy()
+    a = g.order - 1 if g.identity != g.order - 1 else g.order - 2
+    x, y = [k for k in range(g.order) if k != g.identity][:2]
+    bad[a, x], bad[a, y] = bad[a, y], bad[a, x]
+    with pytest.raises(ValueError, match="not associative"):
         gr.FiniteGroup(bad)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -267,6 +268,106 @@ def test_lift_images_respect_relators_and_superdiagonal():
         for gidx, img in enumerate(lift.images):
             for i in range(1, 4):
                 assert img.entry(i, i + 1) == rows[i - 1][gidx]
+
+
+# Digests of the full lift_search output, generated before lift checking
+# was batched: per lift, in order, repr((shape, entries of every image,
+# characters)).  The rows are the first pool tuple of each class in the
+# benchmark's inputs.
+PINNED_LIFTS = [
+    ("elementary(2,4)", 2, [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]],
+     (256, "75b4b40990c34ea63a3b26a31cb661c0003b3b3ddf8bed34c466b7a51e920efb"),
+     (4096, "625c4ee3a34394ce1c531655d5bffc486014d063fc0a8f3eb250fb659a8cc533")),
+    ("u3(3)", 3, [[1, 1], [0, 0], [1, 1]],
+     (81, "ef1ec80e992baa8f07f3552cff37702c589781d578dfdf5cfa14a85b8812c475"),
+     (729, "b0d84a066f2ecb850fb5421a4c91f1a4e918158cc32983cfbe73d60c8a1b067f")),
+    ("dihedral(16)", 2, [[1, 1], [0, 0], [1, 1], [0, 0]],
+     (512, "c1a3edd2eeff409de06a9a3d14d0c58f1f34cede01eb92c04450563a70a06fa3"),
+     (768, "cbcaacdb1894cfb93320ec5c9d77390aec6b597caa6902660c8875559fc5c3d5")),
+    ("elementary(2,4)", 2, [[0, 1, 1, 0], [0, 0, 0, 0]],
+     (1, "300cad1791db1c922db5cc276469698af0f08a07b1b48d2fd9eae42efd0eaa6a"),
+     (16, "5e52feab760a18709de437478e47e6560fa7d44052a7cea3b26445f17a83a293")),
+]
+
+
+def _lift_digest(lifts):
+    h = hashlib.sha256()
+    for lift in lifts:
+        h.update(repr((lift.shape, tuple(m.entries for m in lift.images),
+                       lift.characters)).encode())
+    return len(lifts), h.hexdigest()
+
+
+@pytest.mark.parametrize("name,p,rows,barred,unbarred", PINNED_LIFTS)
+def test_lift_search_output_is_pinned(name, p, rows, barred, unbarred):
+    pres = gr.catalog(name).known_presentation
+    sh = ut.UniShape(len(rows) + 1, p)
+    assert _lift_digest(msy.lift_search(pres, rows, sh.barred_shape())) \
+        == barred
+    assert _lift_digest(msy.lift_search(pres, rows, sh)) == unbarred
+
+
+def _relators_hold(pres, images):
+    return all(gr.evaluate_word(r, images).is_identity()
+               for r in pres.relators)
+
+
+def test_unilift_rejects_corrupted_lifts():
+    pres = gr.catalog("dihedral(16)").known_presentation
+    sh = ut.UniShape(5, 2)
+    lift = msy.lift_search(pres, [[1, 1], [0, 0], [1, 1], [0, 0]], sh)[5]
+    # every single-entry change off the superdiagonal: rejected exactly
+    # when a relator fails, by the tuple arithmetic of evaluate_word
+    inner = [k for k, (i, j) in enumerate(sh.positions) if j != i + 1]
+    broken = kept = 0
+    for g, k in itertools.product(range(len(lift.images)), inner):
+        images = list(lift.images)
+        e = list(images[g].entries)
+        e[k] ^= 1
+        images[g] = ut.UniMatrix(sh, tuple(e))
+        if _relators_hold(pres, images):
+            kept += 1
+            msy.UniLift(pres, sh, tuple(images), lift.characters)
+        else:
+            broken += 1
+            with pytest.raises(InvalidSystem, match="relator"):
+                msy.UniLift(pres, sh, tuple(images), lift.characters)
+    assert broken and kept
+    # a wrong superdiagonal entry: every assignment satisfies the relators
+    # of an abelian target, so only the superdiagonal check can catch it
+    bsh = ut.UniShape(3, 2, True)
+    e24 = gr.catalog("elementary(2,4)").known_presentation
+    (one,) = msy.lift_search(e24, [[0, 1, 1, 0], [0, 0, 0, 0]], bsh)
+    images = list(one.images)
+    images[0] = ut.UniMatrix(bsh, (1, images[0].entries[1]))
+    assert _relators_hold(e24, images)
+    with pytest.raises(InvalidSystem, match="superdiagonal"):
+        msy.UniLift(e24, bsh, tuple(images), one.characters)
+    # a wrong character count
+    for chars in (lift.characters[:-1], lift.characters + lift.characters[:1]):
+        with pytest.raises(InvalidSystem, match="character count"):
+            msy.UniLift(pres, sh, lift.images, chars)
+
+
+def test_batched_check_rejects_a_corrupted_last_lift():
+    pres = gr.catalog("dihedral(16)").known_presentation
+    rows = [[1, 1], [0, 0], [1, 1], [0, 0]]
+    sh = ut.UniShape(5, 2)
+    lifts = msy.lift_search(pres, rows, sh)[:6]
+    packed = np.array([[m.entries for m in lift.images] for lift in lifts],
+                      dtype=np.int64)
+    msy._check_lifts(pres, sh, packed, lifts[0].characters)
+    broken = 0
+    for g, k in itertools.product(range(2), range(len(sh.positions))):
+        bad = packed.copy()
+        bad[-1, g, k] ^= 1
+        images = [ut.UniMatrix(sh, tuple(e)) for e in bad[-1].tolist()]
+        if _relators_hold(pres, images):
+            continue
+        broken += 1
+        with pytest.raises(InvalidSystem):
+            msy._check_lifts(pres, sh, bad, lifts[0].characters)
+    assert broken
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,23 @@ def test_inverse_random():
             assert ut.uni_mul(a, ut.uni_inv(a)) == ut.identity(sh)
 
 
+def test_packed_products_and_inverses_match_tuple_arithmetic():
+    rng = random.Random(4)
+    for sh in (ut.UniShape(3, 5), ut.UniShape(3, 2, True), ut.UniShape(4, 3),
+               ut.UniShape(4, 2, True), ut.UniShape(5, 2),
+               ut.UniShape(5, 3, True)):
+        mats = [ut.UniMatrix(sh, tuple(rng.randrange(sh.prime)
+                                       for _ in sh.positions))
+                for _ in range(24)]
+        packed = np.array([m.entries for m in mats], dtype=np.int64)
+        shifted = np.roll(packed, 1, axis=0)
+        prods = ut._packed_mul(packed, shifted, sh)
+        invs = ut._packed_inv(packed, sh)
+        for k, m in enumerate(mats):
+            assert tuple(prods[k]) == ut.uni_mul(m, mats[k - 1]).entries
+            assert tuple(invs[k]) == ut.uni_inv(m).entries
+
+
 def test_commutator_examples():
     sh = ut.UniShape(3, 2)
     s1, s2 = ut.sigma(sh, 1), ut.sigma(sh, 2)
