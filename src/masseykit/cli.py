@@ -199,7 +199,7 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
             shape = ut.UniShape(n + 1, prime)
             shapes = (shape.barred_shape(), shape)
             # bad characters are input errors whatever the search size;
-            # both budgets are checked before either sweep starts
+            # both budgets are checked before either search starts
             msy._validate_char_rows(pres, rows, prime)
             counts = [msy.lift_candidate_count(pres, sh) for sh in shapes]
             for count in counts:

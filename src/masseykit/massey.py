@@ -20,8 +20,9 @@ Presented groups: a character tuple lifts to the unitriangular group
 U(n+1, p), or its corner-free quotient, exactly when a defining system
 exists with value zero (resp. at all); the search freezes the
 superdiagonal entries of every generator image to the character values
-and sweeps the remaining entries exhaustively, checking relators by
-batched matrix products.
+and solves for the remaining entries one offset j - i at a time: with
+the lower offsets fixed, every relator coordinate at offset k is affine
+in the offset-k entries, with the exponent-sum matrix as linear part.
 
 Sign convention: the value of a defining system is the class of
 -sum_{l=2..n} a[1][l] cup a[l][n+1]; the obstruction to lifting a
@@ -62,6 +63,7 @@ from .groups import (
     evaluate_word,
     kernel_of_character,
     reidemeister_schreier,
+    relator_exponent_matrix,
 )
 from .unitriangular import (
     UniMatrix,
@@ -99,7 +101,6 @@ __all__ = [
 DEFAULT_STATUS_BUDGET = 2 ** 20
 DEFAULT_LIFT_BUDGET = 2 ** 20
 STATUS_ORDER_LIMIT = 32
-_LIFT_CHUNK = 2 ** 14
 
 
 class MasseyStatus(enum.Enum):
@@ -495,20 +496,13 @@ def layered_search(group: FiniteGroup, chars: Sequence[Character],
 # unitriangular lifts of presented groups
 # ---------------------------------------------------------------------------
 
-def _check_lifts(pres: Presentation, shape: UniShape, packed,
-                 characters) -> None:
-    """Check a batch of lifts given as a (lifts, generators, positions)
-    int64 array of packed ``UniMatrix`` entries: there is one character
-    per superdiagonal entry, every relator evaluates to the identity, and
-    the superdiagonal carries the characters.
-
-    The relators are evaluated on the packed entries themselves, with the
-    product plan of ``uni_mul`` and the inverse iteration of ``uni_inv``.
+def _relator_values(pres: Presentation, shape: UniShape, packed):
+    """Each relator in turn, evaluated on a batch of lifts given as a
+    (lifts, generators, positions) int64 array of packed ``UniMatrix``
+    entries: a (lifts, positions) array of packed entries, zero exactly
+    where the relator holds.  Products follow the plan of ``uni_mul`` and
+    inverses the iteration of ``uni_inv``.
     """
-    n = shape.size - 1
-    if len(characters) != n:
-        raise InvalidSystem("character count must match the shape")
-    gens = packed.shape[1]
     inverses = _packed_inv(packed, shape)
     for r in pres.relators:
         acc = np.zeros((packed.shape[0], packed.shape[2]), dtype=np.int64)
@@ -516,7 +510,20 @@ def _check_lifts(pres: Presentation, shape: UniShape, packed,
             g = abs(x) - 1
             acc = _packed_mul(acc, packed[:, g] if x > 0 else inverses[:, g],
                               shape)
-        if acc.any():
+        yield acc
+
+
+def _check_lifts(pres: Presentation, shape: UniShape, packed,
+                 characters) -> None:
+    """Check a batch of packed lifts (see ``_relator_values``): there is
+    one character per superdiagonal entry, every relator evaluates to the
+    identity, and the superdiagonal carries the characters."""
+    n = shape.size - 1
+    if len(characters) != n:
+        raise InvalidSystem("character count must match the shape")
+    gens = packed.shape[1]
+    for r, value in zip(pres.relators, _relator_values(pres, shape, packed)):
+        if value.any():
             raise InvalidSystem(f"relator {r} not satisfied by images")
     index = _position_index(shape.size, shape.barred)
     diagonal = [index[(i, i + 1)] for i in range(1, n + 1)]
@@ -553,12 +560,14 @@ def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
     batch instead of once per object."""
     _check_lifts(pres, shape, packed, characters)
     lifts = []
-    for row in packed.tolist():
+    for row in packed:
+        # one row at a time: a whole-batch tolist() would hold a nested
+        # list of every entry next to the objects built from it
+        images = tuple(UniMatrix(shape, tuple(e)) for e in row.tolist())
         lift = object.__new__(UniLift)
         object.__setattr__(lift, "presentation", pres)
         object.__setattr__(lift, "shape", shape)
-        object.__setattr__(lift, "images",
-                           tuple(UniMatrix(shape, tuple(e)) for e in row))
+        object.__setattr__(lift, "images", images)
         object.__setattr__(lift, "characters", characters)
         lifts.append(lift)
     return lifts
@@ -580,8 +589,8 @@ def _validate_char_rows(pres: Presentation, char_rows, p: int):
 
 
 def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
-    """Number of candidate generator images lift_search sweeps: every
-    entry off the superdiagonal is free, for every generator."""
+    """Size of the space lift_search searches, which its budget bounds:
+    every entry off the superdiagonal is free, for every generator."""
     free = sum(1 for (i, j) in shape.positions if j != i + 1)
     return shape.prime ** (free * pres.generator_count)
 
@@ -590,88 +599,68 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
                 budget: int = DEFAULT_LIFT_BUDGET) -> list[UniLift]:
     """All homomorphisms into the shape lifting the character tuple.
 
-    Per generator the superdiagonal is frozen to the character values and
-    the remaining entries are swept exhaustively; candidates are ordered
-    lexicographically over (generator, free position, value) and relators
-    are evaluated by chunked batched matrix products.  The lifts found in
-    a chunk are then re-verified in one batched pass over their packed
-    entries (relators, superdiagonal, character count), independently of
-    the sweep's products.
+    Per generator the superdiagonal is frozen to the character values;
+    the other entries are solved for one offset k = j - i at a time.
+    With the lower offsets fixed, the offset-k coordinates of a relator
+    are the exponent-sum matrix applied to the offset-k entries, position
+    by position, plus a constant read off by evaluating the relators with
+    those entries at 0.  So every partial lift extends by one particular
+    solution plus Hom(G, Z/p) (the kernel of that matrix) at each
+    offset-k position, or not at all.  The lifts are returned
+    lexicographically ordered over (generator, free position) and are
+    re-verified in one batched pass over their packed entries (relators,
+    superdiagonal, character count).
     """
     p = shape.prime
     n = shape.size - 1
     rows = _validate_char_rows(pres, char_rows, p)
     if len(rows) != n:
         raise ValueError(f"need {n} characters for size {shape.size}")
-    gens = pres.generator_count
-    free_pos = [(i, j) for (i, j) in shape.positions if j != i + 1]
-    f = len(free_pos)
     total = lift_candidate_count(pres, shape)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidates exceed budget {budget}",
             {"candidates": total})
-    s = shape.size
-    eye = np.eye(s, dtype=np.int64)
+    gens = pres.generator_count
+    positions = shape.positions
+    exponents = np.array(relator_exponent_matrix(pres), dtype=np.int64)
+    solver = gf_core.PrimeSolver(
+        exponents.reshape(gens, len(pres.relators)).T, p)
+    kernel = solver.kernel_basis()
 
-    base = []
-    for g in range(gens):
-        m = np.eye(s, dtype=np.int64)
-        for i in range(1, s):
-            m[i - 1, i] = rows[i - 1][g]
-        base.append(m)
-
-    corner = (0, s - 1)
-    rows_of = np.array([i - 1 for (i, _) in shape.positions], dtype=np.intp)
-    cols_of = np.array([j - 1 for (_, j) in shape.positions], dtype=np.intp)
-    characters = tuple(rows)
-
-    def batch_inverse(ms):
-        nil = ms - eye
-        inv = np.broadcast_to(eye, ms.shape).copy()
-        for _ in range(s - 1):
-            inv = (eye - np.matmul(nil, inv)) % p
-        return inv
-
-    out: list[UniLift] = []
-    digits_per_gen = f
-    for start in range(0, total, _LIFT_CHUNK):
-        idx = np.arange(start, min(start + _LIFT_CHUNK, total))
-        count = len(idx)
-        # digit t of candidate c (most significant first across generators
-        # then free positions)
-        stacks = []
-        rem = idx.copy()
-        digits = []
-        for t in range(f * gens):
-            power = p ** (f * gens - 1 - t)
-            digits.append((rem // power) % p)
-            rem = rem % power
-        for g in range(gens):
-            ms = np.broadcast_to(base[g], (count, s, s)).copy()
-            for k, (i, j) in enumerate(free_pos):
-                ms[:, i - 1, j - 1] = digits[g * digits_per_gen + k]
-            stacks.append(ms)
-        inv_stacks = [batch_inverse(ms) for ms in stacks]
-        ok = np.ones(count, dtype=bool)
-        for r in pres.relators:
-            prod = np.broadcast_to(eye, (count, s, s)).copy()
-            for x in r:
-                m = stacks[abs(x) - 1] if x > 0 else inv_stacks[abs(x) - 1]
-                prod = np.matmul(prod, m) % p
-                if shape.barred:
-                    prod[:, corner[0], corner[1]] = 0
-            ok &= (prod == eye).all(axis=(1, 2))
-            if not ok.any():
-                break
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            packed = np.empty((hits.size, gens, len(rows_of)),
-                              dtype=np.int64)
-            for g, ms in enumerate(stacks):
-                packed[:, g] = ms[hits][:, rows_of, cols_of]
-            out.extend(_lifts_from_packed(pres, shape, packed, characters))
-    return out
+    lifts = np.zeros((1, gens, len(positions)), dtype=np.int64)
+    for i in range(1, n + 1):
+        lifts[0, :, positions.index((i, i + 1))] = rows[i - 1]
+    for k in range(2, n + 1):
+        cols = [c for c, (i, j) in enumerate(positions) if j - i == k]
+        if not cols:
+            continue
+        # the constants: relator coordinates with the offset-k entries 0
+        const = np.array(
+            [value[:, cols] for value in _relator_values(pres, shape, lifts)],
+            dtype=np.int64).reshape(len(pres.relators), len(lifts), len(cols))
+        # solver.transform applied to -const, position by position: the
+        # system is solvable iff the rows past the rank vanish, and the
+        # first rows are then the pivot entries of a particular solution
+        y = np.einsum("st,tlc->lsc", solver.transform, -const) % p
+        solvable = ~y[:, solver.rank:].any(axis=(1, 2))
+        lifts, y = lifts[solvable], y[solvable]
+        part = np.zeros((len(lifts), gens, len(cols)), dtype=np.int64)
+        part[:, solver.pivots] = y[:, :solver.rank]
+        dims = len(kernel) * len(cols)
+        coeffs = np.array(list(itertools.product(range(p), repeat=dims)),
+                          dtype=np.int64).reshape(p ** dims, len(kernel),
+                                                  len(cols))
+        shifts = np.einsum("mdc,dg->mgc", coeffs, kernel)
+        lifts = np.repeat(lifts, len(shifts), axis=0)
+        lifts[:, :, cols] = ((part[:, None] + shifts) % p).reshape(
+            len(lifts), gens, len(cols))
+    if len(lifts) > 1:
+        # the superdiagonal is constant, so this is the order over
+        # (generator, free position)
+        keys = lifts.reshape(len(lifts), -1).T[::-1]
+        lifts = lifts[np.lexsort(keys)]
+    return _lifts_from_packed(pres, shape, lifts, tuple(rows))
 
 
 def induced_images(lift: UniLift, group: FiniteGroup,

@@ -95,13 +95,12 @@ class UniMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        pos = self.shape.positions
-        if len(self.entries) != len(pos):
+        entries = self.entries
+        if len(entries) != len(self.shape.positions):
             raise ShapeMismatch("entry tuple does not match shape positions")
         p = self.shape.prime
-        if any(not (0 <= e < p) for e in self.entries):
-            object.__setattr__(self, "entries",
-                               tuple(e % p for e in self.entries))
+        if min(entries) < 0 or max(entries) >= p:
+            object.__setattr__(self, "entries", tuple(e % p for e in entries))
 
     def entry(self, i: int, j: int) -> int:
         """The (i, j) entry, 1-based; diagonal is 1, lower triangle 0."""

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a verdict.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 5 runs its
-smoke subset (complete sweep over the order-<=8 catalog) by default; the
-full order-<=16 sweep is behind the ``slow`` marker.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 5 runs
+both its smoke subset (complete sweep over the order-<=8 catalog) and the
+full order-<=16 sweep.  The ``slow`` marker only labels the full sweep;
+nothing deselects it by default, and ``-m "not slow"`` leaves it out.
 """
 
 import itertools

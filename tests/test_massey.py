@@ -312,6 +312,50 @@ def _relators_hold(pres, images):
                for r in pres.relators)
 
 
+def _brute_force_lifts(pres, rows, shape):
+    """Every candidate in (generator, free position) order, kept when each
+    relator evaluates to the identity under the tuple arithmetic of
+    ``uni_mul``."""
+    free = [(i, j) for (i, j) in shape.positions if j != i + 1]
+    options = []
+    for g in range(pres.generator_count):
+        diagonal = {(i, i + 1): rows[i - 1][g] for i in range(1, shape.size)}
+        options.append([
+            ut.from_entries(shape, {**diagonal, **dict(zip(free, digits))})
+            for digits in itertools.product(range(shape.prime),
+                                            repeat=len(free))])
+    return [tuple(m.entries for m in images)
+            for images in itertools.product(*options)
+            if _relators_hold(pres, images)]
+
+
+def _oracle_cases():
+    u33 = gr.catalog("u3(3)")
+    for tup in itertools.product(chm.characters_of(u33, 3), repeat=2):
+        yield u33.known_presentation, char_rows_for(u33, tup), 3
+    d8 = gr.catalog("dihedral(8)")
+    cs = chars_of(d8)
+    for idx in ((0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 0)):
+        yield d8.known_presentation, char_rows_for(d8, [cs[i] for i in idx]), 2
+    c3 = gr.catalog("cyclic(3)").known_presentation    # Hom(G, Z/2) = 0
+    for n in (2, 3):
+        yield c3, [[0]] * n, 2
+
+
+def test_lift_search_matches_brute_force_sweep():
+    seen = set()
+    for pres, rows, p in _oracle_cases():
+        sh = ut.UniShape(len(rows) + 1, p)
+        for shape in (sh.barred_shape(), sh):
+            want = _brute_force_lifts(pres, rows, shape)
+            got = msy.lift_search(pres, rows, shape)
+            assert [tuple(m.entries for m in lift.images)
+                    for lift in got] == want, (pres.label, rows, shape)
+            seen.add(len(want))
+    # empty, single and branching (not a power of p) lift sets all occur
+    assert {0, 1, 2304} <= seen
+
+
 def test_unilift_rejects_corrupted_lifts():
     pres = gr.catalog("dihedral(16)").known_presentation
     sh = ut.UniShape(5, 2)
