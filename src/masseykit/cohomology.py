@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegreeTooHigh,
+    InternalInconsistency,
     NonPrimeModulus,
     NotACocycle,
     NotNormal,
@@ -303,11 +304,32 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 
 class _Complex:
-    """Coboundary matrices and solvers of one finite group mod p.
+    """Coboundary matrices and solvers of one finite group mod p, in
+    generating-set coordinates.
 
-    Cochain spaces are coordinatized over tuples of non-identity elements
-    (the normalized ones), in the element order of the group with the
-    identity removed.
+    Cochains are coordinatized over tuples of non-identity elements (the
+    normalized ones), in the element order of the group with the
+    identity removed; ``flatten`` and ``unflatten`` use these
+    coordinates.  The matrices and solvers on C^2, though, keep only the
+    rows (g, s), g non-identity and s in a generating set S read off the
+    table (``groups._generating_sequence``), at row g |S| + s;
+    ``gs_entries`` picks them out of a flattened 2-cochain.  Nothing a
+    cocycle needs is lost (Brown, Cohomology of Groups, for the bar
+    complex; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 7, for cohomology through generators):
+
+    (a) from d(dc) = 0, dc(g, h, ks) = dc(h, k, s) - dc(gh, k, s)
+        + dc(g, hk, s) + dc(g, h, k), so by induction on word length a
+        normalized 2-cochain c is a cocycle iff dc(g, h, s) = 0 for every
+        s in S;
+    (b) a cocycle e vanishing on G x S has e(g, hs) = e(g, h) + e(gh, s)
+        - e(h, s) = e(g, h), so e = 0.
+
+    By (b), a linear relation among cocycles holds iff it holds on their
+    G x S entries, so pivots, kernels and free-variables-zero solutions
+    on these rows equal those of the full bar complex.  Every 2-cochain
+    handed to ``d1_solver``, ``cokernel_coords`` or ``h2_solver`` must
+    therefore be a cocycle; ``h2_coordinates`` checks this by (a).
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -325,11 +347,11 @@ class _Complex:
         col = np.full(n, -1, dtype=np.int64)
         col[self.nonid] = np.arange(self.ne)
         self.col_of = col
+        self.gens = np.array(_generating_sequence(group), dtype=np.int64)
+        self.gens_col = col[self.gens]
         self._d1 = None
         self._d1_solver = None
-        self._d1_cokernel = None
         self._z1 = None
-        self._d2 = None
         self._z2 = None
         self._h2 = None
         self._h2_solver = None
@@ -350,24 +372,34 @@ class _Complex:
         vals[idx] = np.asarray(vec).reshape((self.ne,) * degree)
         return Cochain(self.group, degree, self.p, vals)
 
-    # -- coboundary matrices -------------------------------------------------
+    def gs_entries(self, flat) -> np.ndarray:
+        """The G x S entries of a flattened 2-cochain, or of each row of a
+        matrix of them."""
+        flat = np.asarray(flat)
+        lead = flat.shape[:-1]
+        square = flat.reshape(lead + (self.ne, self.ne))
+        return square[..., self.gens_col].reshape(
+            lead + (self.ne * len(self.gens),))
+
+    def char_vec(self, c: Cochain) -> np.ndarray:
+        return c.values[self.nonid].copy()
+
+    # -- degree 1 -----------------------------------------------------------
 
     @property
     def d1(self) -> np.ndarray:
-        """Matrix of C^1 -> C^2 over the normalized coordinates."""
+        """Matrix of C^1 -> C^2 on the G x S rows:
+        (df)(g, s) = f(g) + f(s) - f(gs)."""
         if self._d1 is None:
-            ne = self.ne
-            mul = self.group.mul
-            prods = self.col_of[mul[self.nonid][:, self.nonid]]  # ne x ne
-            mat = np.zeros((ne * ne, ne), dtype=np.int64)
-            rows = np.arange(ne * ne)
-            gi = rows // ne
-            hj = rows % ne
-            np.add.at(mat, (rows, gi), 1)
-            np.add.at(mat, (rows, hj), 1)
-            pc = prods.ravel()
-            keep = pc >= 0
-            np.add.at(mat, (rows[keep], pc[keep]), -1)
+            ns = len(self.gens)
+            rows = np.arange(self.ne * ns)
+            mat = np.zeros((len(rows), self.ne), dtype=np.int64)
+            np.add.at(mat, (rows, rows // ns), 1)
+            np.add.at(mat, (rows, np.tile(self.gens_col, self.ne)), 1)
+            prods = self.col_of[
+                self.group.mul[np.ix_(self.nonid, self.gens)]].ravel()
+            keep = prods >= 0
+            np.add.at(mat, (rows[keep], prods[keep]), -1)
             self._d1 = mat % self.p
         return self._d1
 
@@ -378,28 +410,11 @@ class _Complex:
         return self._d1_solver
 
     def cokernel_coords(self, x) -> np.ndarray:
-        """Coordinates in C^2 / im(d1) of a flattened 2-cochain, or of each
-        column of a matrix of them.
-
-        The coordinate functionals are the rows of the d1 solver's
-        transform past its rank, which annihilate exactly im(d1).  The
-        transform is reduced, so each such row has at most rank(d1) + 1
-        nonzero entries; keeping only those makes a projection cost
-        |G|^3 operations instead of |G|^4.
-        """
-        if self._d1_cokernel is None:
-            solver = self.d1_solver
-            rows = solver.transform[solver.rank:]
-            r, c = np.nonzero(rows)                  # row-major order
-            slot = np.arange(len(r)) - np.searchsorted(r, r)
-            cols = np.zeros((len(rows), slot.max(initial=-1) + 1),
-                            dtype=np.int64)
-            vals = np.zeros_like(cols)
-            cols[r, slot] = c
-            vals[r, slot] = rows[r, c]
-            self._d1_cokernel = (cols, vals)
-        cols, vals = self._d1_cokernel
-        return np.einsum("rw,rw...->r...", vals, np.asarray(x)[cols]) % self.p
+        """Coordinates in C^2 / im(d1) of the G x S entries of a 2-cocycle,
+        or of each column of a matrix of them: the rows of the d1
+        solver's transform past its rank, which annihilate im(d1)."""
+        solver = self.d1_solver
+        return (solver.transform[solver.rank:] @ np.asarray(x)) % self.p
 
     @property
     def z1(self) -> np.ndarray:
@@ -409,37 +424,78 @@ class _Complex:
             self._z1 = self.d1_solver.kernel_basis()
         return self._z1
 
-    @property
-    def d2(self) -> np.ndarray:
-        """Matrix of C^2 -> C^3."""
-        if self._d2 is None:
-            ne = self.ne
-            mul = self.group.mul
-            prods = self.col_of[mul[self.nonid][:, self.nonid]]
-            n3 = ne ** 3
-            mat = np.zeros((n3, ne * ne), dtype=np.int8)
-            rows = np.arange(n3)
-            i = rows // (ne * ne)
-            j = (rows // ne) % ne
-            k = rows % ne
-            np.add.at(mat, (rows, j * ne + k), 1)          # f(h, k)
-            gh = prods[i, j]
-            keep = gh >= 0
-            np.add.at(mat, (rows[keep], gh[keep] * ne + k[keep]), -1)
-            hk = prods[j, k]
-            keep = hk >= 0
-            np.add.at(mat, (rows[keep], i[keep] * ne + hk[keep]), 1)
-            np.add.at(mat, (rows, i * ne + j), -1)
-            self._d2 = mat % self.p
-        return self._d2
+    # -- degree 2 -----------------------------------------------------------
+
+    def _cocycle_rows(self, c) -> np.ndarray:
+        """The G x G x S rows of d2: dc(g, h, s) = c(h, s) - c(gh, s)
+        + c(g, hs) - c(g, h) at [g, h, s], for c given on every pair of
+        elements as ``c[x, y]`` (zero where x or y is the identity), with
+        values or, along trailing axes, linear forms in unknowns."""
+        mul = self.group.mul
+        gens = self.gens
+        g = np.arange(self.group.order)[:, None, None]
+        at_s = c[:, gens]
+        return (at_s[None] - at_s[mul]
+                + c[g, mul[:, gens][None]] - c[:, :, None]) % self.p
+
+    def is_cocycle(self, flat) -> bool:
+        """Whether a flattened 2-cochain is a cocycle, by (a): only the
+        G x G x S entries of its coboundary are computed."""
+        n = self.group.order
+        c = np.zeros((n, n), dtype=np.int64)
+        c[np.ix_(self.nonid, self.nonid)] = np.asarray(flat).reshape(
+            self.ne, self.ne)
+        return not self._cocycle_rows(c).any()
 
     @property
     def z2(self) -> np.ndarray:
+        """Rows: a basis of the 2-cocycles, flattened, in the form that
+        ``nullspace_array`` gives a kernel (identity on the free columns).
+
+        A cocycle is determined by its G x S values v: walking a BFS tree
+        of the Cayley graph (edges x -> xs) from the identity,
+        c(g, xs) = c(g, x) + c(gx, s) - c(x, s) gives every c(g, x) as a
+        linear function of v.  By (a), the v whose walk is a cocycle are
+        the kernel of the G x G x S rows of d2 on those functions.
+        """
         if self._z2 is None:
-            if self.group.order > H2_ORDER_LIMIT:
+            g = self.group
+            if g.order > H2_ORDER_LIMIT:
                 raise BudgetExceeded(
                     f"degree-2 cohomology capped at order {H2_ORDER_LIMIT}")
-            self._z2 = nullspace_array(self.d2, self.p)
+            p, n, ne, ns = self.p, g.order, self.ne, len(self.gens)
+            unknowns = ne * ns
+            # on_gs[x, k]: c(x, s_k) as a vector over the unknowns
+            on_gs = np.zeros((n, ns, unknowns), dtype=np.int64)
+            on_gs[self.nonid[:, None], np.arange(ns),
+                  np.arange(unknowns).reshape(ne, ns)] = 1
+            # walk[h, x]: c(h, x) as a vector over the unknowns
+            walk = np.zeros((n, n, unknowns), dtype=np.int64)
+            reached = np.zeros(n, dtype=bool)
+            reached[g.identity] = True
+            frontier = [g.identity]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for k, s in enumerate(self.gens):
+                        y = g.mul[x, s]
+                        if not reached[y]:
+                            reached[y] = True
+                            walk[:, y] = (walk[:, x] + on_gs[g.mul[:, x], k]
+                                          - on_gs[x, k]) % p
+                            nxt.append(y)
+                frontier = nxt
+            rows = self._cocycle_rows(walk).reshape(n * n * ns, unknowns)
+            kernel = nullspace_array(rows[rows.any(axis=1)], p)
+            cocycles = np.einsum(
+                "kj,hxj->khx", kernel,
+                walk[np.ix_(self.nonid, self.nonid)]).reshape(
+                    len(kernel), ne * ne) % p
+            # the canonical basis of a subspace with identity on its free
+            # columns is its reduced echelon form taken from the last
+            # column backwards
+            ech, _, rank = rref_array(cocycles[:, ::-1], p)
+            self._z2 = np.ascontiguousarray(ech[:rank][::-1, ::-1])
         return self._z2
 
     @property
@@ -451,29 +507,30 @@ class _Complex:
             # of [d1 | z2^T]
             base = self.d1.shape[1]
             _, pivots, _ = rref_array(
-                np.concatenate([self.d1, self.z2.T], axis=1), self.p)
+                np.concatenate([self.d1, self.gs_entries(self.z2).T],
+                               axis=1), self.p)
             self._h2 = self.z2[[c - base for c in pivots if c >= base]]
         return self._h2
 
     @property
     def h2_solver(self) -> PrimeSolver:
-        """Solver for z = sum c_i h2[i] + d(f): columns are the h2 reps
-        followed by the coboundaries of the 1-cochain basis."""
+        """Solver for z = sum c_i h2[i] + d(f) on G x S entries: columns
+        are the h2 reps followed by the coboundaries of the 1-cochain
+        basis."""
         if self._h2_solver is None:
-            cols = np.concatenate([self.h2.T, self.d1], axis=1) \
-                if len(self.h2) else self.d1
-            self._h2_solver = PrimeSolver(cols, self.p)
+            self._h2_solver = PrimeSolver(np.concatenate(
+                [self.gs_entries(self.h2).T, self.d1], axis=1), self.p)
         return self._h2_solver
 
     def h2_coordinates(self, flat: np.ndarray) -> np.ndarray:
-        """Coordinates of a 2-cocycle class over the h2 basis."""
-        sol = self.h2_solver.solve(flat)
+        """Coordinates of a flattened 2-cocycle's class over the h2 basis."""
+        if not self.is_cocycle(flat):
+            raise NotACocycle("vector is not a 2-cocycle")
+        sol = self.h2_solver.solve(self.gs_entries(flat))
         if sol is None:
-            raise NotACocycle("vector is not a 2-cocycle class combination")
+            raise InternalInconsistency(
+                "a cocycle left the span of the h2 basis and the coboundaries")
         return sol[: len(self.h2)] % self.p
-
-    def char_vec(self, c: Cochain) -> np.ndarray:
-        return c.values[self.nonid].copy()
 
 
 def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
@@ -505,7 +562,7 @@ def is_coboundary(z: Cochain) -> Optional[Cochain]:
         # primitives are constants; untwisted constants have zero boundary
         return zero_cochain(z.group, 0, z.modulus) if z.is_zero() else None
     cx = cochain_complex(z.group, z.modulus)
-    sol = cx.d1_solver.solve(cx.flatten(z))
+    sol = cx.d1_solver.solve(cx.gs_entries(cx.flatten(z)))
     return None if sol is None else cx.unflatten(sol, 1)
 
 
@@ -724,8 +781,8 @@ def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
     # kernel of the restriction H^2(G) -> H^2(H) in the same coordinates
     ker_res = []
     if len(cx.h2):
-        res_cols = [hx.flatten(restriction(cx.unflatten(row, 2), h))
-                    for row in cx.h2]
+        res_cols = [hx.gs_entries(hx.flatten(
+            restriction(cx.unflatten(row, 2), h))) for row in cx.h2]
         mat = np.concatenate([np.array(res_cols).T, hx.d1], axis=1) % p
         # nullspace directions mix in pure coboundaries of H; the leading
         # coordinate blocks span the kernel subspace

@@ -10,10 +10,13 @@ slack), and each inner entry a[i][j] ranges over an affine coset
 d(a[i][j]) = -sum_l a[i][l] cup a[l][j].  The status search sweeps those
 cosets layer by layer in j - i; at the final layer the reachable value
 set is an affine subspace, so vanishing reduces to one linear solve per
-surviving combination.  That solve runs in coordinates on C^2 / im(d1)
-taken from the cached d1 solver (the complex's ``cokernel_coords``), so
-its matrix has only the 2 dim H^1 cup columns and no solver is built per
-decision.  The sweep is exhaustive over all defining systems, which
+surviving combination.  Every 2-cochain of the search is a cocycle and
+is held by its entries on G x S alone, S a generating set (the
+complex's generating-set coordinates), which decide membership in
+im(d1) and in any span of cocycles.  The final solve runs in
+coordinates on C^2 / im(d1) read off the cached d1 solver's transform,
+so its matrix has only the 2 dim H^1 cup columns and no solver is built
+per decision.  The sweep is exhaustive over all defining systems, which
 makes the outcome a decision, not a heuristic.
 
 Presented groups: a character tuple lifts to the unitriangular group
@@ -81,7 +84,6 @@ __all__ = [
     "validate_defining_system",
     "defining_system_value",
     "massey_status_finite",
-    "layered_search",
     "UniLift",
     "lift_search",
     "lift_candidate_count",
@@ -206,10 +208,13 @@ def _check_char_tuple(group: FiniteGroup, chars: Sequence[Character]) -> int:
 class _StatusWorkspace:
     """Per-(group, p, characters) linear machinery.
 
-    Vanishing tests run in the complex's coordinates on C^2 / im(d1): a
-    2-cochain lies in span(cup columns) + im(d1) iff its coordinates lie
-    in the span of the cup columns' coordinates, which is one solve on a
-    matrix with 2 dim H^1 columns and builds no solver.
+    Every 2-cochain here is held by its G x S entries alone (the
+    complex's generating-set coordinates), which decide membership in
+    im(d1) for cocycles.  Vanishing tests run in the complex's
+    coordinates on C^2 / im(d1): a 2-cocycle lies in span(cup columns) +
+    im(d1) iff its coordinates lie in the span of the cup columns'
+    coordinates, which is one solve on a matrix with 2 dim H^1 columns
+    and builds no solver.
     """
 
     def __init__(self, group, p, chars):
@@ -220,14 +225,16 @@ class _StatusWorkspace:
         self.solver = self.cx.d1_solver
 
     def cupflat(self, u, w):
-        return np.multiply.outer(u, w).ravel() % self.p
+        """G x S entries of u cup w: u(g) w(s)."""
+        return np.multiply.outer(u, w[self.cx.gens_col]).ravel() % self.p
 
     def cup_columns(self, left, right):
-        """Flattened cups left[k] cup right[k], one column per k; a single
-        vector on one side is paired with every row on the other."""
+        """G x S entries of the cups left[k] cup right[k], one column per
+        k; a single vector on one side is paired with every row on the
+        other."""
         left, right = np.atleast_2d(left), np.atleast_2d(right)
-        cups = left[:, :, None] * right[:, None, :]
-        return (cups.reshape(len(cups), self.cx.ne ** 2) % self.p).T
+        cups = left[:, :, None] * right[:, None, self.cx.gens_col]
+        return (cups.reshape(len(cups), self.solver.rows) % self.p).T
 
     def value_cups(self, first_vec, last_vec):
         """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
@@ -238,7 +245,11 @@ class _StatusWorkspace:
 
     def value_split(self, cups, value):
         """Coefficients (s, t) with value - sum_b s_b (chi_first cup psi_b)
-        - sum_b t_b (psi_b cup chi_last) in im(d1), or None."""
+        - sum_b t_b (psi_b cup chi_last) in im(d1), or None.
+
+        ``value`` holds the G x S entries of a 2-cocycle, as every value
+        of a defining system is; on a non-cocycle the answer means
+        nothing, since only G x S entries are read."""
         sol = gf_core.solve_array(cups, self.cx.cokernel_coords(value),
                                   self.p)
         if sol is None:
@@ -414,82 +425,6 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
         "all feasible middle layers swept; every final-layer value coset "
         "misses the coboundaries")
     return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING, witness, stats)
-
-
-def layered_search(group: FiniteGroup, chars: Sequence[Character],
-                   budget: int = DEFAULT_STATUS_BUDGET) -> MasseyReport:
-    """Plain exhaustive layer-by-layer sweep; the cross-check oracle.
-
-    Enumerates every defining system outright (each inner entry over its
-    full particular + character coset) and tests every value with the
-    coboundary solver.  Exponentially slower than massey_status_finite
-    but with no linear-algebra shortcuts in the search itself.
-    """
-    p = _check_char_tuple(group, chars)
-    n = len(chars)
-    if n > 4:
-        raise ValueError("products of length at most 4 are supported")
-    ws = _StatusWorkspace(group, p, chars)
-    z = len(ws.z1)
-    combos = [np.array(c, dtype=np.int64)
-              for c in itertools.product(range(p), repeat=z)]
-    stats = {"method": "layered-exhaustive", "examined": 0}
-
-    def solutions(rhs):
-        f = ws.solver.solve(rhs)
-        if f is None:
-            return []
-        return [(f + ws.combo_vec(c)) % p for c in combos]
-
-    found_defined = None
-    total = 0
-    if n == 2:
-        return _status_n2(ws, chars)
-    if n == 3:
-        v1, v2, v3 = ws.vecs
-        for a13 in solutions((-ws.cupflat(v1, v2)) % p):
-            for a24 in solutions((-ws.cupflat(v2, v3)) % p):
-                total += 1
-                if total > budget:
-                    raise BudgetExceeded("layered sweep over budget", stats)
-                inner = {(1, 3): a13, (2, 4): a24}
-                if found_defined is None:
-                    found_defined = dict(inner)
-                value = (-(ws.cupflat(v1, a24) + ws.cupflat(a13, v3))) % p
-                if ws.solver.solve(value) is not None:
-                    stats["examined"] = total
-                    return MasseyReport(MasseyStatus.VANISHES,
-                                        _witness(ws, chars, inner), stats)
-    else:
-        v1, v2, v3, v4 = ws.vecs
-        for a13 in solutions((-ws.cupflat(v1, v2)) % p):
-            for a24 in solutions((-ws.cupflat(v2, v3)) % p):
-                for a35 in solutions((-ws.cupflat(v3, v4)) % p):
-                    c14 = (-(ws.cupflat(v1, a24) + ws.cupflat(a13, v3))) % p
-                    c25 = (-(ws.cupflat(v2, a35) + ws.cupflat(a24, v4))) % p
-                    for a14 in solutions(c14):
-                        for a25 in solutions(c25):
-                            total += 1
-                            if total > budget:
-                                raise BudgetExceeded(
-                                    "layered sweep over budget", stats)
-                            inner = {(1, 3): a13, (2, 4): a24, (3, 5): a35,
-                                     (1, 4): a14, (2, 5): a25}
-                            if found_defined is None:
-                                found_defined = dict(inner)
-                            value = (-(ws.cupflat(v1, a25)
-                                       + ws.cupflat(a13, a35)
-                                       + ws.cupflat(a14, v4))) % p
-                            if ws.solver.solve(value) is not None:
-                                stats["examined"] = total
-                                return MasseyReport(
-                                    MasseyStatus.VANISHES,
-                                    _witness(ws, chars, inner), stats)
-    stats["examined"] = total
-    if found_defined is None:
-        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING,
-                        _witness(ws, chars, found_defined), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +711,15 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
     res3 = Character(h.as_group, p, res3.values)
     g_h2 = h_basis(group, 2, p)
     hx = cochain_complex(h.as_group, p)
-    res_cols = [hx.flatten(restriction(z.representative, h)) for z in g_h2]
-    from .gf_core import PrimeSolver
+    # restrictions of H^2(G) plus coboundaries of H, on the G x S entries
+    # of H, which decide the solves below because every right-hand side
+    # is a cup of characters, a cocycle
+    res_cols = [hx.gs_entries(hx.flatten(restriction(z.representative, h)))
+                for z in g_h2]
     res_mat = np.concatenate(
         [np.array(res_cols).T if res_cols else
-         np.zeros((hx.ne ** 2, 0), dtype=np.int64), hx.d1], axis=1)
-    res_solver = PrimeSolver(res_mat, p)
+         np.zeros((len(hx.d1), 0), dtype=np.int64), hx.d1], axis=1)
+    res_solver = gf_core.PrimeSolver(res_mat, p)
 
     cor_cache = {c.values.tobytes(): corestriction_deg1(c, h) for c in hchars}
 
@@ -803,8 +741,8 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
             if vanish_wit is None and is_coboundary(pp) is not None:
                 vanish_wit = (tuple(phi.values.tolist()),
                               tuple(psi.values.tolist()))
-            if defined_wit is None and \
-                    res_solver.solve(hx.flatten(pp)) is not None:
+            if defined_wit is None and res_solver.solve(
+                    hx.gs_entries(hx.flatten(pp))) is not None:
                 defined_wit = (tuple(phi.values.tolist()),
                                tuple(psi.values.tolist()))
         if defined_wit and vanish_wit:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from masseykit import cohomology as chm
+from masseykit import gf_core as gf
 from masseykit import groups as gr
+from masseykit import massey as msy
+from masseykit.errors import BudgetExceeded
 
 
 def bareiss_det(matrix) -> int:
@@ -87,3 +91,139 @@ def random_cochain(rng, group, degree, modulus, twist=None):
     vals = np.array([rng.randrange(modulus)
                      for _ in range(group.order ** degree)]).reshape(shape)
     return chm.cochain(group, degree, modulus, vals, twist)
+
+
+# ---------------------------------------------------------------------------
+# the dense normalized bar complex: an oracle for the generating-set
+# coordinates of the library, built from the definition of the
+# differential over every tuple of non-identity elements
+# ---------------------------------------------------------------------------
+
+def _nonid(group: gr.FiniteGroup) -> list[int]:
+    return [x for x in range(group.order) if x != group.identity]
+
+
+def dense_d1(group: gr.FiniteGroup, p: int) -> np.ndarray:
+    """C^1 -> C^2 on every pair (g, h), row g (|G|-1) + h:
+    (df)(g, h) = f(g) + f(h) - f(gh)."""
+    nonid = _nonid(group)
+    col = {x: k for k, x in enumerate(nonid)}
+    mat = np.zeros((len(nonid) ** 2, len(nonid)), dtype=np.int64)
+    for row, (g, h) in enumerate(itertools.product(nonid, repeat=2)):
+        mat[row, col[g]] += 1
+        mat[row, col[h]] += 1
+        gh = group.mul_idx(g, h)
+        if gh != group.identity:
+            mat[row, col[gh]] -= 1
+    return mat % p
+
+
+def dense_d2(group: gr.FiniteGroup, p: int, last=None) -> np.ndarray:
+    """C^2 -> C^3 on every triple (g, h, k), or on those with k in
+    ``last``, over the flattened C^2 coordinates:
+    (dc)(g, h, k) = c(h, k) - c(gh, k) + c(g, hk) - c(g, h)."""
+    nonid = _nonid(group)
+    col = {x: k for k, x in enumerate(nonid)}
+    ne = len(nonid)
+
+    def pair(x, y):
+        if group.identity in (x, y):
+            return None
+        return col[x] * ne + col[y]
+
+    triples = [(g, h, k) for g in nonid for h in nonid
+               for k in (nonid if last is None else last)]
+    mat = np.zeros((len(triples), ne * ne), dtype=np.int64)
+    for row, (g, h, k) in enumerate(triples):
+        for sign, x, y in ((1, h, k), (-1, group.mul_idx(g, h), k),
+                           (1, g, group.mul_idx(h, k)), (-1, g, h)):
+            c = pair(x, y)
+            if c is not None:
+                mat[row, c] += sign
+    return mat % p
+
+
+def layered_search(group: gr.FiniteGroup, chars, solver=None,
+                   budget: int = 2 ** 20) -> msy.MasseyReport:
+    """Plain exhaustive layer-by-layer sweep; the oracle for
+    ``massey_status_finite``, n = 2..4.
+
+    Enumerates every defining system outright (each inner entry over its
+    full particular + character coset) and tests every value with a
+    solver of the dense d1 (built here unless one is passed), so
+    it shares neither the generating-set coordinates nor the cokernel
+    test of the library.
+    """
+    p = chars[0].modulus
+    n = len(chars)
+    solver = solver or gf.PrimeSolver(dense_d1(group, p), p)
+    nonid = _nonid(group)
+    vecs = [c.values[nonid] for c in chars]
+    z1 = solver.kernel_basis()
+    combos = [np.array(c, dtype=np.int64)
+              for c in itertools.product(range(p), repeat=len(z1))]
+    stats = {"method": "layered-exhaustive", "examined": 0}
+
+    def cupflat(u, w):
+        return np.multiply.outer(u, w).ravel() % p
+
+    def solutions(rhs):
+        f = solver.solve(rhs)
+        if f is None:
+            return []
+        return [(f + c @ z1) % p for c in combos]
+
+    def witness(inner):
+        entries = {(i, i + 1): chm.cochain(group, 1, p, chars[i - 1].values)
+                   for i in range(1, n + 1)}
+        for key, vec in inner.items():
+            vals = np.zeros(group.order, dtype=np.int64)
+            vals[nonid] = vec
+            entries[key] = chm.cochain(group, 1, p, vals)
+        ds = msy.DefiningSystem(group, p, n, entries)
+        assert msy.validate_defining_system(ds, chars)
+        return ds
+
+    def systems():
+        """Every defining system: (inner entries, value) pairs."""
+        if n == 2:
+            yield {}, (-cupflat(vecs[0], vecs[1])) % p
+        elif n == 3:
+            v1, v2, v3 = vecs
+            for a13 in solutions((-cupflat(v1, v2)) % p):
+                for a24 in solutions((-cupflat(v2, v3)) % p):
+                    yield ({(1, 3): a13, (2, 4): a24},
+                           (-(cupflat(v1, a24) + cupflat(a13, v3))) % p)
+        else:
+            v1, v2, v3, v4 = vecs
+            for a13 in solutions((-cupflat(v1, v2)) % p):
+                for a24 in solutions((-cupflat(v2, v3)) % p):
+                    for a35 in solutions((-cupflat(v3, v4)) % p):
+                        c14 = (-(cupflat(v1, a24) + cupflat(a13, v3))) % p
+                        c25 = (-(cupflat(v2, a35) + cupflat(a24, v4))) % p
+                        for a14 in solutions(c14):
+                            for a25 in solutions(c25):
+                                yield ({(1, 3): a13, (2, 4): a24,
+                                        (3, 5): a35, (1, 4): a14,
+                                        (2, 5): a25},
+                                       (-(cupflat(v1, a25)
+                                          + cupflat(a13, a35)
+                                          + cupflat(a14, v4))) % p)
+
+    found_defined = None
+    total = 0
+    for inner, value in systems():
+        total += 1
+        if total > budget:
+            raise BudgetExceeded("layered sweep over budget", stats)
+        if found_defined is None:
+            found_defined = inner
+        if solver.solve(value) is not None:
+            stats["examined"] = total
+            return msy.MasseyReport(msy.MasseyStatus.VANISHES,
+                                    witness(inner), stats)
+    stats["examined"] = total
+    if found_defined is None:
+        return msy.MasseyReport(msy.MasseyStatus.UNDEFINED, None, stats)
+    return msy.MasseyReport(msy.MasseyStatus.DEFINED_NOT_VANISHING,
+                            witness(found_defined), stats)

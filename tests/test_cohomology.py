@@ -1,12 +1,14 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 from masseykit import cohomology as chm
+from masseykit import gf_core as gf
 from masseykit import groups as gr
 from masseykit.errors import (
     BudgetExceeded,
@@ -16,7 +18,12 @@ from masseykit.errors import (
     NotSurjective,
 )
 
-from helpers import coordinate_character, random_cochain
+from helpers import (
+    coordinate_character,
+    dense_d1,
+    dense_d2,
+    random_cochain,
+)
 
 CATALOG_SAMPLE = ("cyclic(2)", "cyclic(4)", "product(2,2)", "dihedral(8)",
                   "quaternion8", "u3(2)", "cyclic(3)", "dihedral(6)")
@@ -222,6 +229,82 @@ def test_h_basis_representatives_are_cocycles():
     for cls in chm.h_basis(g, 2, 2):
         assert chm.coboundary(cls.representative).is_zero()
         assert chm.is_coboundary(cls.representative) is None
+
+
+# one table per catalog family and order up to 16
+DENSE_GROUPS = tuple(
+    [f"cyclic({m})" for m in range(1, 17)]
+    + [f"product({a},{b})" for a in range(2, 5) for b in range(a, 9)
+       if a * b <= 16]
+    + [f"dihedral({m})" for m in range(4, 17, 2)]
+    + ["elementary(2,2)", "elementary(2,3)", "elementary(2,4)",
+       "elementary(3,2)", "quaternion8", "u3(2)"])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generating_set_complex_matches_dense_bar_complex(p):
+    # the G x S rows must give what the full bar complex gives: the same
+    # d1 pivots, characters, particular solutions and refusals, cocycles
+    # and H^2 representatives, byte for byte
+    rng = random.Random(p)
+    for name in DENSE_GROUPS:
+        g = gr.catalog(name)
+        cx = chm.cochain_complex(g, p)
+        d1 = dense_d1(g, p)
+        solver = gf.PrimeSolver(d1, p)
+        assert cx.d1_solver.pivots == solver.pivots, name
+        z1 = solver.kernel_basis()
+        assert cx.z1.shape == z1.shape and cx.z1.tobytes() == z1.tobytes()
+        z2 = gf.nullspace_array(dense_d2(g, p), p)
+        assert cx.z2.shape == z2.shape and cx.z2.tobytes() == z2.tobytes()
+        # H^2 representatives: the z2 rows at pivots of [d1 | z2^T]
+        _, pivots, _ = gf.rref_array(np.concatenate([d1, z2.T], axis=1), p)
+        h2 = z2[[c - cx.ne for c in pivots if c >= cx.ne]]
+        assert cx.h2.shape == h2.shape and cx.h2.tobytes() == h2.tobytes()
+        for degree, rows in ((1, z1), (2, h2)):
+            assert [c.representative for c in chm.h_basis(g, degree, p)] \
+                == [cx.unflatten(row, degree) for row in rows], name
+        for _ in range(8):
+            b = d1 @ np.array([rng.randrange(p) for _ in range(cx.ne)]) % p
+            fast = cx.d1_solver.solve(cx.gs_entries(b))
+            assert np.array_equal(fast, solver.solve(b)), name
+        for row in h2:
+            assert cx.d1_solver.solve(cx.gs_entries(row)) is None, name
+            assert solver.solve(row) is None, name
+
+
+def test_z2_matches_gs_kernel_at_orders_27_and_32():
+    # the dense d2 is too large here, but its G x G x S rows (a cochain
+    # is a cocycle iff these vanish) still give Z^2 from the definition
+    for name, p in (("u3(3)", 3), ("product(4,8)", 2)):
+        g = gr.catalog(name)
+        cx = chm.cochain_complex(g, p)
+        z2 = gf.nullspace_array(dense_d2(g, p, last=cx.gens.tolist()), p)
+        assert cx.z2.shape == z2.shape and cx.z2.tobytes() == z2.tobytes()
+
+
+def test_degree_two_basis_at_order_32_within_budget():
+    # the dense d2 took about 29 s here; the G x S walk takes milliseconds
+    g = gr.catalog("product(4,8)")
+    t0 = time.perf_counter()
+    basis = chm.h_basis(g, 2, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(basis) == 3
+
+
+def test_h2_coordinates_rejects_a_change_outside_gs():
+    # a change off the G x S entries leaves the restricted solve
+    # untouched; only the cocycle test on the G x G x S rows sees it
+    for name in ("dihedral(8)", "product(4,4)"):
+        g = gr.catalog(name)
+        cx = chm.cochain_complex(g, 2)
+        rep = cx.h2[0].copy()
+        assert cx.h2_coordinates(rep).tolist() == [1] + [0] * (len(cx.h2) - 1)
+        # the entry (second non-identity element, a non-generator)
+        outside = next(x for x in range(cx.ne) if x not in cx.gens_col)
+        rep[cx.ne + outside] ^= 1
+        with pytest.raises(NotACocycle):
+            cx.h2_coordinates(rep)
 
 
 # ---------------------------------------------------------------------------

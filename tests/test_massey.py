@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+import os
 import random
 
 import numpy as np
@@ -12,7 +14,12 @@ from masseykit import massey as msy
 from masseykit import unitriangular as ut
 from masseykit.errors import BudgetExceeded, InvalidSystem
 
-from helpers import char_rows_for, coordinate_character
+from helpers import (
+    char_rows_for,
+    coordinate_character,
+    dense_d1,
+    layered_search,
+)
 
 
 def chars_of(g):
@@ -109,8 +116,8 @@ def test_status_triple_with_zero_factor_vanishes():
 
 
 # (group, p, n, seeded tuples); the exhaustive layered_search decides
-# every value with d1 solves alone, sharing no code with the cokernel
-# test of massey_status_finite
+# every value with dense d1 solves alone, sharing no code with the
+# generating-set coordinates or the cokernel test of massey_status_finite
 ORACLE_CASES = [
     ("cyclic(4)", 2, 3, 6), ("product(2,2)", 2, 3, 6), ("u3(2)", 2, 3, 6),
     ("quaternion8", 2, 3, 6),
@@ -126,13 +133,14 @@ def test_status_matches_layered_search():
     for name, p, n, count in ORACLE_CASES:
         g = gr.catalog(name)
         cs = chm.characters_of(g, p)
+        dense = gf.PrimeSolver(dense_d1(g, p), p)
         tuples = [[rng.choice(cs) for _ in range(n)] for _ in range(count)]
         if name == "product(4,4)":
             # a fourfold DefinedNotVanishing tuple the seed does not reach
             tuples.append([cs[1]] * 4)
         for tup in tuples:
             fast = msy.massey_status_finite(g, tup)
-            slow = msy.layered_search(g, tup)
+            slow = layered_search(g, tup, dense)
             assert fast.status == slow.status, (name, fast.status)
             seen.add((n, fast.status))
             if fast.witness is not None:
@@ -147,46 +155,57 @@ def test_status_matches_layered_search():
 def test_value_split_matches_dense_rank():
     # the sampled tuples above are all decided before the cup columns of
     # the value test matter, so drive that test directly against a dense
-    # rank computation over [cups | d1 | value]
+    # rank computation over [cups | d1 | value] in the full bar-complex
+    # coordinates.  value_split reads only the G x S entries of a value,
+    # which decide membership for cocycles, the only values it is given;
+    # so every value here is a cocycle: a span member, plus a random
+    # 2-cocycle every other time, which may or may not leave the span
     rng = random.Random(21)
-    needed = 0
+    needed = misses = 0
     for name, p in (("product(4,4)", 2), ("product(3,9)", 3)):
         g = gr.catalog(name)
         cs = [c for c in chm.characters_of(g, p) if c.values.any()]
+        cx = chm.cochain_complex(g, p)
+        d1 = dense_d1(g, p)
+        for row in cx.z2:
+            assert chm.coboundary(cx.unflatten(row, 2)).is_zero()
         for _ in range(4):
             ws = msy._StatusWorkspace(g, p, [rng.choice(cs), rng.choice(cs)])
-            cx, (first, last) = ws.cx, ws.vecs
-            full = np.array([ws.cupflat(first, psi) for psi in ws.z1]
-                            + [ws.cupflat(psi, last) for psi in ws.z1]).T
-            span = np.concatenate([full, cx.d1], axis=1)
+            first, last = ws.vecs
+            full = np.array([np.multiply.outer(first, psi).ravel()
+                             for psi in ws.z1]
+                            + [np.multiply.outer(psi, last).ravel()
+                               for psi in ws.z1]).T % p
+            span = np.concatenate([full, d1], axis=1)
             rank = gf.rref_array(span, p)[2]
             cups = ws.value_cups(first, last)
             for k in range(6):
                 coeffs = np.array([rng.randrange(p) for _ in full.T])
                 u = np.array([rng.randrange(p) for _ in range(cx.ne)])
-                value = (full @ coeffs + cx.d1 @ u) % p
+                value = (full @ coeffs + d1 @ u) % p
                 if k % 2:
-                    # one coordinate off: its image in C^2 / im(d1) sits
-                    # in a few coordinates only
-                    value[rng.randrange(len(value))] += 1
-                    value %= p
+                    z = np.array([rng.randrange(p) for _ in cx.z2])
+                    value = (value + z @ cx.z2) % p
                 aug = np.concatenate([span, value[:, None]], axis=1)
                 member = gf.rref_array(aug, p)[2] == rank
-                sol = ws.value_split(cups, value)
+                misses += not member
+                sol = ws.value_split(cups, cx.gs_entries(value))
                 assert (sol is not None) == member, (name, k)
                 if sol is not None:
                     rest = (value - full @ np.concatenate(sol)) % p
-                    assert ws.solver.solve(rest) is not None
-                    needed += ws.solver.solve(value) is None
+                    assert gf.solve_array(d1, rest, p) is not None
+                    needed += gf.solve_array(d1, value, p) is None
     assert needed
+    assert misses
 
 
 def test_status_fourfold_matches_layered_search_small():
     g = gr.catalog("cyclic(4)")
     cs = chars_of(g)
+    dense = gf.PrimeSolver(dense_d1(g, 2), 2)
     for tup in itertools.product(cs, repeat=4):
         fast = msy.massey_status_finite(g, list(tup))
-        slow = msy.layered_search(g, list(tup))
+        slow = layered_search(g, list(tup), dense)
         assert fast.status == slow.status
 
 
@@ -201,6 +220,54 @@ def test_status_witness_revalidates():
             assert msy.validate_defining_system(rep.witness, tup)
             if rep.vanishes:
                 assert msy.defining_system_value(rep.witness).is_zero_class()
+
+
+BENCH_INPUTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "inputs.json")
+
+
+def test_status_output_is_pinned():
+    # verdict, search_stats and witness bytes of every finite-status pool
+    # tuple of the benchmark (n = 3, 4 at orders 16, 27 and 32), hashed in
+    # pool order; the dense bar-complex route gave the same digest
+    with open(BENCH_INPUTS) as fh:
+        pool = json.load(fh)["finite-status"]
+    h = hashlib.sha256()
+    count = 0
+    for key in sorted(pool):
+        name = key.split("|")[0]
+        g = gr.catalog(name)
+        p = 3 if name == "product(3,9)" else 2
+        for rows in pool[key]:
+            chars = [chm.character(g, [sum(row[abs(x) - 1] * (1 if x > 0
+                                                              else -1)
+                                           for x in w) % p
+                                       for w in g.element_words], p)
+                     for row in rows]
+            rep = msy.massey_status_finite(g, chars)
+            h.update(rep.status.value.encode())
+            h.update(json.dumps(rep.search_stats, sort_keys=True).encode())
+            if rep.witness is not None:
+                for k in sorted(rep.witness.entries):
+                    h.update(repr(k).encode())
+                    h.update(rep.witness.entries[k].values.tobytes())
+            count += 1
+    assert count == 512
+    assert h.hexdigest() == ("6395d90da5d8e9f1213d209217064d2d"
+                             "409e3f19f504753f37c3fd0c8fadff89")
+
+
+def test_status_on_trivial_and_character_free_groups():
+    # cyclic(1) has an empty generating set and cyclic(3) no character
+    # at p = 2: every tuple is the zero tuple, and vanishes
+    for name in ("cyclic(1)", "cyclic(3)"):
+        g = gr.catalog(name)
+        zero, = chars_of(g)
+        for n in (2, 3, 4):
+            rep = msy.massey_status_finite(g, [zero] * n)
+            assert rep.status is msy.MasseyStatus.VANISHES
+            assert layered_search(g, [zero] * n).status is rep.status
+            assert msy.validate_defining_system(rep.witness, [zero] * n)
 
 
 def test_status_budget():
