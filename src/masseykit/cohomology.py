@@ -52,6 +52,7 @@ from .gf_core import (
 from .groups import (
     FiniteGroup,
     SubgroupData,
+    _cayley_tree,
     _generating_sequence,
     enumerate_subgroups,
     kernel_of_character,
@@ -217,7 +218,9 @@ class CohomClass:
         return self.representative.modulus
 
     def is_zero_class(self) -> bool:
-        return is_coboundary(self.representative) is not None
+        # construction checked that the representative is a cocycle
+        primitive = _primitive(self.representative, check_cocycle=False)
+        return primitive is not None
 
 
 class Character(Cochain):
@@ -471,20 +474,11 @@ class _Complex:
                   np.arange(unknowns).reshape(ne, ns)] = 1
             # walk[h, x]: c(h, x) as a vector over the unknowns
             walk = np.zeros((n, n, unknowns), dtype=np.int64)
-            reached = np.zeros(n, dtype=bool)
-            reached[g.identity] = True
-            frontier = [g.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for k, s in enumerate(self.gens):
-                        y = g.mul[x, s]
-                        if not reached[y]:
-                            reached[y] = True
-                            walk[:, y] = (walk[:, x] + on_gs[g.mul[:, x], k]
-                                          - on_gs[x, k]) % p
-                            nxt.append(y)
-                frontier = nxt
+            order, parent = _cayley_tree(g, self.gens)
+            for y in order[1:]:
+                x, k = parent[y]
+                walk[:, y] = (walk[:, x] + on_gs[g.mul[:, x], k]
+                              - on_gs[x, k]) % p
             rows = self._cocycle_rows(walk).reshape(n * n * ns, unknowns)
             kernel = nullspace_array(rows[rows.any(axis=1)], p)
             cocycles = np.einsum(
@@ -550,13 +544,17 @@ def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
 
 def is_coboundary(z: Cochain) -> Optional[Cochain]:
     """A primitive f with df = z, or None; degrees 1 and 2 only."""
+    return _primitive(z, check_cocycle=True)
+
+
+def _primitive(z: Cochain, check_cocycle: bool) -> Optional[Cochain]:
     if z.degree not in (1, 2):
         raise DegreeTooHigh("coboundary decisions for degrees 1 and 2 only")
     if z.twist is not None:
         raise ValueError("twisted coboundary decisions are not supported")
     if not is_prime(z.modulus):
         raise NonPrimeModulus("prime modulus required")
-    if not coboundary(z).is_zero():
+    if check_cocycle and not coboundary(z).is_zero():
         raise NotACocycle("input is not a cocycle")
     if z.degree == 1:
         # primitives are constants; untwisted constants have zero boundary

@@ -29,7 +29,6 @@ __all__ = [
     "integer_kernel_basis",
     "solve_integer",
     "solve_congruence",
-    "congruence_kernel_generators",
     "is_prime",
 ]
 
@@ -348,16 +347,3 @@ def solve_congruence(matrix, b, modulus: int) -> Optional[list[int]]:
     return [sum(snf.right[i][k] * y[k] for k in range(m)) % modulus
             for i in range(m)]
 
-
-def congruence_kernel_generators(matrix, modulus: int) -> list[list[int]]:
-    """Generators of {x mod modulus : A.x = 0 (mod modulus)}."""
-    snf = smith_normal_form(matrix)
-    m = len(snf.right)
-    gens = []
-    for j in range(m):
-        d = snf.diag[j] if j < snf.rank else 0
-        scale = modulus // math.gcd(d, modulus) if d else 1
-        if scale % modulus == 0:
-            continue
-        gens.append([snf.right[i][j] * scale % modulus for i in range(m)])
-    return gens

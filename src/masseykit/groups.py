@@ -9,6 +9,11 @@ element in those generators.  On top of that live subgroup data with
 canonical transversals, abelianization through Smith normal form,
 Reidemeister-Schreier rewriting for kernels of maps onto finite quotients,
 and lifting of characters through prime-power moduli.
+
+Every walk over a table group's Cayley graph x -> x s is the one
+breadth-first search ``_cayley_tree``: generated subgroups, subgroup
+enumeration by one-element joins, Reidemeister-Schreier coset trees,
+isomorphism words and the Z^2 walk of the cochain complex.
 """
 
 from __future__ import annotations
@@ -264,9 +269,12 @@ def closure_group(generators, budget: int = DEFAULT_CLOSURE_BUDGET,
     index = {ident: 0}
     words: list[Word] = [()]
     parent: list[Optional[tuple[int, int]]] = [None]
+    # successors[a][k]: index of elems[a] * generators[k]
+    successors: list[list[int]] = []
     head = 0
     while head < len(elems):
         x = elems[head]
+        row = []
         for k, g in enumerate(generators):
             y = mul(x, g)
             if y not in index:
@@ -278,15 +286,15 @@ def closure_group(generators, budget: int = DEFAULT_CLOSURE_BUDGET,
                 elems.append(y)
                 words.append(words[head] + (k + 1,))
                 parent.append((head, k))
+            row.append(index[y])
+        successors.append(row)
         head += 1
     n = len(elems)
     gen_idx = [index[g] for g in generators]
     table = np.zeros((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
+    table[:, gen_idx] = successors
     # fill columns in discovery order: col(x*g) follows from col(x)
-    for a in range(n):
-        for k, gi in enumerate(gen_idx):
-            table[a, gi] = index[mul(elems[a], generators[k])]
     for j in range(1, n):
         pj = parent[j]
         if pj is None:
@@ -567,20 +575,26 @@ def subgroup_from_members(parent: FiniteGroup,
     return SubgroupData(parent, members, tuple(transversal), sub, pos)
 
 
+def _cayley_tree(g: FiniteGroup, gens: Sequence[int]):
+    """Breadth-first spanning tree of the Cayley graph x -> x s, s in
+    ``gens``, from the identity: the elements of the subgroup generated
+    by ``gens`` in discovery order, with generators tried in the given
+    order, and a dict sending each element to the (parent, generator
+    position) edge that first reached it (None for the identity)."""
+    columns = [g.mul[:, s].tolist() for s in gens]
+    order = [g.identity]
+    parent: dict[int, Optional[tuple[int, int]]] = {g.identity: None}
+    for x in order:
+        for k, col in enumerate(columns):
+            y = col[x]
+            if y not in parent:
+                parent[y] = (x, k)
+                order.append(y)
+    return order, parent
+
+
 def _generated_members(g: FiniteGroup, seed) -> frozenset:
-    members = {g.identity}
-    frontier = [s for s in seed]
-    members.update(frontier)
-    while frontier:
-        new = set()
-        for a in list(members):
-            for b in frontier:
-                for c in (g.mul_idx(a, b), g.mul_idx(b, a)):
-                    if c not in members:
-                        new.add(c)
-        members.update(new)
-        frontier = list(new)
-    return frozenset(members)
+    return frozenset(_cayley_tree(g, seed)[0])
 
 
 def kernel_of_character(g: FiniteGroup, chi, modulus: int | None = None
@@ -612,28 +626,24 @@ def kernel_of_character(g: FiniteGroup, chi, modulus: int | None = None
 
 
 def enumerate_subgroups(g: FiniteGroup) -> list[SubgroupData]:
-    """All subgroups, found by closing small seeds and then joins."""
+    """All subgroups, found by joining one element at a time to the
+    subgroups already found, from the trivial one up."""
     if g.order > SUBGROUP_ORDER_LIMIT:
         raise BudgetExceeded(
             f"subgroup enumeration capped at order {SUBGROUP_ORDER_LIMIT}")
-    found = {frozenset([g.identity])}
-    for a in range(g.order):
-        found.add(_generated_members(g, [a]))
-        for b in range(a + 1, g.order):
-            found.add(_generated_members(g, [a, b]))
-    while True:
-        new = set()
-        current = list(found)
-        for i, s in enumerate(current):
-            for t in current[i + 1:]:
-                if s <= t or t <= s:
-                    continue
-                j = _generated_members(g, s | t)
-                if j not in found:
-                    new.add(j)
-        if not new:
-            break
-        found.update(new)
+    # every subgroup found, with a generating list of it
+    found = {frozenset([g.identity]): ()}
+    pending = list(found)
+    while pending:
+        members = pending.pop()
+        gens = found[members]
+        for x in range(g.order):
+            if x in members:
+                continue
+            join = _generated_members(g, gens + (x,))
+            if join not in found:
+                found[join] = gens + (x,)
+                pending.append(join)
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return [subgroup_from_members(g, sorted(s)) for s in ordered]
 
@@ -766,22 +776,15 @@ def reidemeister_schreier(p: Presentation, f: GroupHom) -> RSResult:
         raise TypeError("hom source must be the presentation")
     q = f.target
     images = f.images
-    # breadth-first coset exploration; cosets are elements of q
-    order: list[int] = [q.identity]
-    trans_word: dict[int, Word] = {q.identity: ()}
-    tree: set[tuple[int, int]] = set()
-    head = 0
-    while head < len(order):
-        c = order[head]
-        for i in range(p.generator_count):
-            c2 = q.mul_idx(c, images[i])
-            if c2 not in trans_word:
-                trans_word[c2] = trans_word[c] + (i + 1,)
-                tree.add((c, i))
-                order.append(c2)
-        head += 1
+    # cosets are elements of q, explored breadth-first
+    order, parent = _cayley_tree(q, images)
     if len(order) != q.order:
         raise NotSurjective("generator images do not reach every coset")
+    tree = set(parent.values())
+    trans_word: dict[int, Word] = {q.identity: ()}
+    for c in order[1:]:
+        c0, i = parent[c]
+        trans_word[c] = trans_word[c0] + (i + 1,)
 
     gen_of_pair: dict[tuple[int, int], int] = {}
     gen_words: list[Word] = []
@@ -831,11 +834,12 @@ def reidemeister_schreier(p: Presentation, f: GroupHom) -> RSResult:
 # ---------------------------------------------------------------------------
 
 def _generating_sequence(g: FiniteGroup) -> list[int]:
+    """Greedy generating set: each generator is the smallest element
+    outside the subgroup generated by the ones before it."""
     gens: list[int] = []
     reached = frozenset([g.identity])
     while len(reached) < g.order:
-        nxt = min(i for i in range(g.order) if i not in reached)
-        gens.append(nxt)
+        gens.append(next(i for i in range(g.order) if i not in reached))
         reached = _generated_members(g, gens)
     return gens
 
@@ -850,17 +854,11 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     if not gens:
         return True
     # words of every element of a in those generators
+    order, parent = _cayley_tree(a, gens)
     words: dict[int, Word] = {a.identity: ()}
-    frontier = [a.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for k, s in enumerate(gens):
-                y = a.mul_idx(x, s)
-                if y not in words:
-                    words[y] = words[x] + (k + 1,)
-                    new.append(y)
-        frontier = new
+    for y in order[1:]:
+        x, k = parent[y]
+        words[y] = words[x] + (k + 1,)
     orders_a = [a.order_of(s) for s in gens]
     b_orders = b.element_orders()
     candidates = [[i for i in range(b.order) if b_orders[i] == o]

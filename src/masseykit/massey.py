@@ -43,7 +43,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalInconsistency, InvalidSystem
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    InvalidSystem,
+    NotACocycle,
+)
 from . import gf_core
 from .cohomology import (
     Character,
@@ -74,7 +79,7 @@ from .unitriangular import (
     _packed_inv,
     _packed_mul,
     _position_index,
-    project_bar,
+    identity,
 )
 
 __all__ = [
@@ -167,11 +172,12 @@ def defining_system_value(ds: DefiningSystem) -> CohomClass:
     for l in range(2, n + 1):
         term = cup(ds.entry(1, l), ds.entry(l, n + 1))
         acc = term if acc is None else acc + term
-    val = acc.scale(-1)
-    if not coboundary(val).is_zero():
-        raise InvalidSystem("value cochain is not a cocycle; "
-                            "the system does not satisfy its conditions")
-    return CohomClass(val)
+    try:
+        return CohomClass(acc.scale(-1))
+    except NotACocycle:
+        raise InvalidSystem(
+            "value cochain is not a cocycle; the system does not satisfy "
+            "its conditions") from None
 
 
 @dataclass
@@ -292,7 +298,10 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
     return _status_n4(ws, chars, budget)
 
 
-def _witness(ws, chars, inner: dict) -> DefiningSystem:
+def _witness(ws, chars, inner: dict, zero_value: bool = False
+             ) -> DefiningSystem:
+    """The defining system with the given inner entries, validated; with
+    ``zero_value`` its value class is also required to vanish."""
     n = len(chars)
     entries = {}
     for i in range(1, n + 1):
@@ -302,6 +311,8 @@ def _witness(ws, chars, inner: dict) -> DefiningSystem:
     ds = DefiningSystem(ws.group, ws.p, n, entries)
     if not validate_defining_system(ds, chars):
         raise InternalInconsistency("constructed witness fails validation")
+    if zero_value and not defining_system_value(ds).is_zero_class():
+        raise InternalInconsistency("vanishing witness has nonzero value")
     return ds
 
 
@@ -335,9 +346,8 @@ def _status_n3(ws, chars) -> MasseyReport:
     s_coeffs, t_coeffs = sol
     a24 = (f24 + ws.combo_vec(s_coeffs)) % p
     a13 = (f13 + ws.combo_vec(t_coeffs)) % p
-    witness = _witness(ws, chars, {(1, 3): a13, (2, 4): a24})
-    if defining_system_value(witness).is_zero_class() is False:
-        raise InternalInconsistency("vanishing witness has nonzero value")
+    witness = _witness(ws, chars, {(1, 3): a13, (2, 4): a24},
+                       zero_value=True)
     return MasseyReport(MasseyStatus.VANISHES, witness, stats)
 
 
@@ -414,10 +424,7 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
             inner[(2, 5)] = (f25 + ws.combo_vec(s_coeffs)) % p
             inner[(1, 4)] = (f14 + ws.combo_vec(t_coeffs)) % p
             stats["examined"] = examined
-            witness = _witness(ws, chars, inner)
-            if not defining_system_value(witness).is_zero_class():
-                raise InternalInconsistency(
-                    "vanishing witness has nonzero value")
+            witness = _witness(ws, chars, inner, zero_value=True)
             return MasseyReport(MasseyStatus.VANISHES, witness, stats)
     stats["examined"] = examined
     witness = _witness(ws, chars, first_defined)
@@ -598,47 +605,53 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     return _lifts_from_packed(pres, shape, lifts, tuple(rows))
 
 
-def induced_images(lift: UniLift, group: FiniteGroup,
-                   verify: bool = True) -> list[UniMatrix]:
-    """Image of every element of a finite realization of the presentation.
-
-    The group must carry element words in the presentation's generators.
-    With ``verify`` the induced map is checked to be multiplicative on the
-    full table; callers that have certified the presentation separately
-    may skip the quadratic check.
-    """
+def _element_images(group: FiniteGroup, lift: UniLift, shape: UniShape):
+    """Packed images in ``shape`` (the lift's own shape or its corner-free
+    quotient), one row per element, of every element word of a finite
+    realization of the presentation; all words advance one letter per
+    step, in one batch.  The induced map is checked to be multiplicative
+    on the full table."""
     if group.element_words is None:
         raise ValueError("group does not carry element words")
-    ident = lift.images[0].identity_like()
-    imgs = [evaluate_word(w, lift.images) if w else ident
-            for w in group.element_words]
-    if verify:
-        for a in range(group.order):
-            for b in range(group.order):
-                if imgs[group.mul_idx(a, b)] != imgs[a] * imgs[b]:
-                    raise InternalInconsistency(
-                        "lift does not descend to the finite group")
+    words = group.element_words
+    cols = [lift.shape.positions.index(ij) for ij in shape.positions]
+    gens = np.array([[m.entries[c] for c in cols] for m in lift.images],
+                    dtype=np.int64).reshape(len(lift.images), len(cols))
+    factors = np.concatenate([gens, _packed_inv(gens, shape)])
+    imgs = np.zeros((group.order, len(cols)), dtype=np.int64)
+    for step in range(max(map(len, words))):
+        rows = [a for a, w in enumerate(words) if len(w) > step]
+        letters = np.array([words[a][step] for a in rows], dtype=np.int64)
+        # letter k picks generator k - 1, letter -k its inverse
+        picks = np.where(letters > 0, letters - 1, len(gens) - letters - 1)
+        imgs[rows] = _packed_mul(imgs[rows], factors[picks], shape)
+    if not np.array_equal(imgs[group.mul],
+                          _packed_mul(imgs[:, None], imgs[None, :], shape)):
+        raise InternalInconsistency(
+            "lift does not descend to the finite group")
     return imgs
 
 
-def defining_system_from_lift(lift: UniLift, group: FiniteGroup,
-                              verify: bool = True) -> DefiningSystem:
+def induced_images(lift: UniLift, group: FiniteGroup) -> list[UniMatrix]:
+    """Image of every element of a finite realization of the presentation.
+
+    The group must carry element words in the presentation's generators.
+    The induced map is checked to be multiplicative on the full table.
+    """
+    imgs = _element_images(group, lift, lift.shape)
+    return [UniMatrix(lift.shape, tuple(row)) for row in imgs.tolist()]
+
+
+def defining_system_from_lift(lift: UniLift,
+                              group: FiniteGroup) -> DefiningSystem:
     """The defining system of coordinate functions of a corner-free lift,
-    pushed onto a finite realization of the presentation."""
-    shape = lift.shape
-    if not shape.barred:
-        lift = UniLift(lift.presentation, shape.barred_shape(),
-                       tuple(project_bar(m) for m in lift.images),
-                       lift.characters)
-        shape = lift.shape
-    p = shape.prime
-    n = shape.size - 1
-    imgs = induced_images(lift, group, verify=verify)
-    entries = {}
-    for (i, j) in shape.positions:
-        vals = np.array([m.entry(i, j) for m in imgs], dtype=np.int64)
-        entries[(i, j)] = Cochain(group, 1, p, vals)
-    return DefiningSystem(group, p, n, entries)
+    pushed onto a finite realization of the presentation.  An unbarred
+    lift is first projected to the corner-free quotient."""
+    shape = lift.shape.barred_shape()
+    imgs = _element_images(group, lift, shape)
+    entries = {ij: Cochain(group, 1, shape.prime, imgs[:, c])
+               for c, ij in enumerate(shape.positions)}
+    return DefiningSystem(group, shape.prime, shape.size - 1, entries)
 
 
 def obstruction_cochain_on(group: FiniteGroup, imgs: Sequence[UniMatrix],
@@ -667,7 +680,9 @@ def lift_obstruction(lift: UniLift) -> CohomClass:
     shape = lift.shape
     if not shape.barred:
         raise InvalidSystem("obstructions are taken for corner-free lifts")
-    q = closure_group(list(lift.images), label="lift-image")
+    # the identity among the generators gives the closure its elements
+    # even when the presentation has no generators
+    q = closure_group([*lift.images, identity(shape)], label="lift-image")
     coc = obstruction_cochain_on(q, q.elements, shape.prime)
     return CohomClass(coc)
 

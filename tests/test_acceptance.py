@@ -123,9 +123,9 @@ def _agreement_sweep(names, lift_cap=None):
             assert status.vanishes == bool(u), (name, "triple")
             sample = ubar if lift_cap is None else ubar[:lift_cap]
             for lift in sample:
-                ds = msy.defining_system_from_lift(lift, g, verify=False)
+                ds = msy.defining_system_from_lift(lift, g)
                 val = msy.defining_system_value(ds)
-                imgs = msy.induced_images(lift, g, verify=False)
+                imgs = msy.induced_images(lift, g)
                 obs = msy.obstruction_cochain_on(g, imgs, 2)
                 assert chm.class_equal(val.representative, obs.scale(-1))
                 checked["lifts"] += 1

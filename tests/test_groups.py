@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
+from masseykit import cohomology as chm
 from masseykit import groups as gr
 from masseykit import unitriangular as ut
 from masseykit.errors import (
@@ -295,12 +297,56 @@ def test_enumerate_subgroups_counts():
     assert len(gr.enumerate_subgroups(gr.catalog("cyclic(4)"))) == 3
     assert len(gr.enumerate_subgroups(gr.catalog("product(2,2)"))) == 5
     assert len(gr.enumerate_subgroups(gr.catalog("quaternion8"))) == 6
+    assert len(gr.enumerate_subgroups(gr.catalog("elementary(2,5)"))) == 374
 
 
 def test_enumerate_subgroups_elementary16():
     # (Z/2)^4: Gaussian binomial count 1+15+35+15+1
     subs = gr.enumerate_subgroups(gr.catalog("elementary(2,4)"))
     assert len(subs) == 67
+
+
+TRAVERSAL_GROUPS = (
+    "cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(8)",
+    "cyclic(9)", "cyclic(16)", "product(2,2)", "product(2,4)",
+    "product(3,3)", "product(2,8)", "product(4,4)", "product(3,6)",
+    "product(4,8)", "elementary(2,3)", "elementary(2,4)", "elementary(2,5)",
+    "elementary(3,3)", "dihedral(6)", "dihedral(8)", "dihedral(12)",
+    "dihedral(16)", "dihedral(32)", "quaternion8", "u3(2)", "u3(3)")
+
+
+def test_cayley_graph_traversals_are_pinned():
+    # every output that walks a table group's Cayley graph, on the
+    # catalog groups of order <= 32: the greedy generating sequence, the
+    # subgroups with their transversals, the 2-cocycle bases at p = 2 and
+    # 3, and the Reidemeister-Schreier rewriting of every surjection of
+    # the shipped presentation onto Z/2 and Z/3
+    h = hashlib.sha256()
+    quotients = (gr.catalog("cyclic(2)"), gr.catalog("cyclic(3)"))
+    for name in TRAVERSAL_GROUPS:
+        g = gr.catalog(name)
+        h.update(repr((name, gr._generating_sequence(g))).encode())
+        for s in gr.enumerate_subgroups(g):
+            h.update(repr((s.member_indices, s.transversal)).encode())
+        for p in (2, 3):
+            z2 = chm.cochain_complex(g, p).z2
+            h.update(repr(z2.shape).encode() + z2.tobytes())
+        pres = g.known_presentation
+        for q in quotients:
+            for images in itertools.product(range(q.order),
+                                            repeat=pres.generator_count):
+                if not any(images):
+                    continue
+                try:
+                    hom = gr.GroupHom(pres, q, images)
+                except NotHomomorphism:
+                    continue
+                rs = gr.reidemeister_schreier(pres, hom)
+                h.update(repr((images, rs.kernel.generator_count,
+                               rs.kernel.relators, rs.generator_words,
+                               rs.transversal_words)).encode())
+    assert h.hexdigest() == ("758babb9cbf3d2bbd7e7318dcca59d73"
+                             "5e266aeb8744cfb50405c051c907b2b7")
 
 
 def test_subgroup_normality():

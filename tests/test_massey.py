@@ -12,7 +12,11 @@ from masseykit import gf_core as gf
 from masseykit import groups as gr
 from masseykit import massey as msy
 from masseykit import unitriangular as ut
-from masseykit.errors import BudgetExceeded, InvalidSystem
+from masseykit.errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    InvalidSystem,
+)
 
 from helpers import (
     char_rows_for,
@@ -550,6 +554,34 @@ def test_value_formula_against_obstruction():
             imgs = msy.induced_images(lift, g)
             obs = msy.obstruction_cochain_on(g, imgs, 2)
             assert chm.class_equal(val.representative, obs.scale(-1))
+
+
+def test_generator_free_lifts():
+    # the presentation with no generators presents the trivial group:
+    # the one lift is the empty tuple of images, in either shape
+    pres = gr.Presentation(0, ())
+    g = gr.catalog("cyclic(1)")
+    sh = ut.UniShape(4, 2)
+    for shape in (sh.barred_shape(), sh):
+        lift, = msy.lift_search(pres, [(), (), ()], shape)
+        assert msy.induced_images(lift, g) == [ut.identity(shape)]
+        ds = msy.defining_system_from_lift(lift, g)
+        assert all(c.is_zero() for c in ds.entries.values())
+        assert msy.defining_system_value(ds).is_zero_class()
+    lift, = msy.lift_search(pres, [(), (), ()], sh.barred_shape())
+    assert msy.lift_obstruction(lift).is_zero_class()
+
+
+def test_lift_that_does_not_descend_is_refused():
+    # a lift of the free group on one generator with chi = 1 has an
+    # image of order 2 or 4, so it does not factor through Z/3
+    pres = gr.Presentation(1, ())
+    g = gr.catalog("cyclic(3)")
+    for lift in msy.lift_search(pres, [(1,), (1,)], ut.UniShape(3, 2)):
+        with pytest.raises(InternalInconsistency):
+            msy.induced_images(lift, g)
+        with pytest.raises(InternalInconsistency):
+            msy.defining_system_from_lift(lift, g)
 
 
 # ---------------------------------------------------------------------------
