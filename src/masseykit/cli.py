@@ -197,18 +197,11 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
         budget = int(job.get("budget", msy.DEFAULT_LIFT_BUDGET))
         try:
             shape = ut.UniShape(n + 1, prime)
-            shapes = (shape.barred_shape(), shape)
-            # bad characters are input errors whatever the search size;
-            # both budgets are checked before either search starts
-            msy._validate_char_rows(pres, rows, prime)
-            counts = [msy.lift_candidate_count(pres, sh) for sh in shapes]
-            for count in counts:
-                if count > budget:
-                    raise BudgetExceeded(
-                        f"{count} candidates exceed budget {budget}",
-                        {"candidates": count})
-            ubar = msy.lift_search(pres, rows, shapes[0], budget)
-            u = msy.lift_search(pres, rows, shapes[1], budget)
+            # the unbarred search has at least as many candidates as the
+            # barred one, so running it first lets its input and budget
+            # checks stop the job before either search sweeps
+            u = msy.lift_search(pres, rows, shape, budget)
+            ubar = msy.lift_search(pres, rows, shape.barred_shape(), budget)
         except ValueError as exc:
             raise InputError(str(exc))
         if not ubar:
@@ -224,8 +217,10 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
             "ubar_lift": _serialize_lift(ubar[0]) if ubar else None,
             "u_lift": _serialize_lift(u[0]) if u else None,
         }
-        report["search_stats"] = {"ubar_candidates": counts[0],
-                                  "u_candidates": counts[1]}
+        report["search_stats"] = {
+            "ubar_candidates": msy.lift_candidate_count(
+                pres, shape.barred_shape()),
+            "u_candidates": msy.lift_candidate_count(pres, shape)}
         return report, 0
     group = _job_group(job)
     if group is None:

@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 H2_ORDER_LIMIT = 32
-H90_ORDER_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +217,7 @@ class CohomClass:
         return self.representative.modulus
 
     def is_zero_class(self) -> bool:
-        # construction checked that the representative is a cocycle
-        primitive = _primitive(self.representative, check_cocycle=False)
-        return primitive is not None
+        return is_coboundary(self.representative) is not None
 
 
 class Character(Cochain):
@@ -316,7 +313,8 @@ class _Complex:
     coordinates.  The matrices and solvers on C^2, though, keep only the
     rows (g, s), g non-identity and s in a generating set S read off the
     table (``groups._generating_sequence``), at row g |S| + s;
-    ``gs_entries`` picks them out of a flattened 2-cochain.  Nothing a
+    ``gs_entries`` picks them out of a flattened 2-cochain and ``cup_gs``
+    computes them for a cup of two 1-cochains.  Nothing a
     cocycle needs is lost (Brown, Cohomology of Groups, for the bar
     complex; Holt, Eick and O'Brien, Handbook of Computational Group
     Theory, ch. 7, for cohomology through generators):
@@ -386,6 +384,13 @@ class _Complex:
 
     def char_vec(self, c: Cochain) -> np.ndarray:
         return c.values[self.nonid].copy()
+
+    def cup_gs(self, u, w) -> np.ndarray:
+        """The G x S entries u(g) w(s) of u cup w, for 1-cochains given
+        on the non-identity elements; leading axes broadcast."""
+        cups = u[..., None] * w.take(self.gens_col, axis=-1)[..., None, :]
+        return cups.reshape(cups.shape[:-2] + (self.ne * len(self.gens),)
+                            ) % self.p
 
     # -- degree 1 -----------------------------------------------------------
 
@@ -543,24 +548,26 @@ def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
 # ---------------------------------------------------------------------------
 
 def is_coboundary(z: Cochain) -> Optional[Cochain]:
-    """A primitive f with df = z, or None; degrees 1 and 2 only."""
-    return _primitive(z, check_cocycle=True)
-
-
-def _primitive(z: Cochain, check_cocycle: bool) -> Optional[Cochain]:
+    """A primitive f with df = z, or None; degrees 1 and 2 only.  The
+    cocycle test reads the rows of the generating-set complex: d1 on
+    G x S in degree 1 (dz is a cocycle, zero iff zero there) and the
+    G x G x S rows in degree 2."""
     if z.degree not in (1, 2):
         raise DegreeTooHigh("coboundary decisions for degrees 1 and 2 only")
     if z.twist is not None:
         raise ValueError("twisted coboundary decisions are not supported")
     if not is_prime(z.modulus):
         raise NonPrimeModulus("prime modulus required")
-    if check_cocycle and not coboundary(z).is_zero():
-        raise NotACocycle("input is not a cocycle")
+    cx = cochain_complex(z.group, z.modulus)
+    flat = cx.flatten(z)
     if z.degree == 1:
+        if ((cx.d1 @ flat) % cx.p).any():
+            raise NotACocycle("input is not a cocycle")
         # primitives are constants; untwisted constants have zero boundary
         return zero_cochain(z.group, 0, z.modulus) if z.is_zero() else None
-    cx = cochain_complex(z.group, z.modulus)
-    sol = cx.d1_solver.solve(cx.gs_entries(cx.flatten(z)))
+    if not cx.is_cocycle(flat):
+        raise NotACocycle("input is not a cocycle")
+    sol = cx.d1_solver.solve(cx.gs_entries(flat))
     return None if sol is None else cx.unflatten(sol, 1)
 
 
@@ -576,9 +583,6 @@ def h_basis(group: FiniteGroup, degree: int, modulus: int) -> list[CohomClass]:
         raise ValueError("h_basis supports degrees 1 and 2")
     if not is_prime(modulus):
         raise NonPrimeModulus(f"{modulus} is not prime")
-    if degree == 2 and group.order > H2_ORDER_LIMIT:
-        raise BudgetExceeded(
-            f"degree-2 basis capped at order {H2_ORDER_LIMIT}")
     cx = cochain_complex(group, modulus)
     if degree == 1:
         return [CohomClass(cx.unflatten(row, 1)) for row in cx.z1]
@@ -738,6 +742,19 @@ def _row_space_equal(a_rows, b_rows, p: int, ambient: int) -> bool:
     return rref_array(np.vstack([a, b]), p)[2] == ra
 
 
+def _restriction_matrix(cx: _Complex, h: SubgroupData) -> np.ndarray:
+    """[restrictions of the H^2(G) basis | d1 of H] on the G x S rows of
+    the subgroup H, for the complex cx of G: a cocycle z on H is a
+    restricted class plus a coboundary iff its G x S entries solve it."""
+    hx = cochain_complex(h.as_group, cx.p)
+    members = np.array(h.member_indices, dtype=np.int64)
+    rows = cx.col_of[members[hx.nonid]]
+    cols = cx.col_of[members[hx.gens]]
+    res = cx.h2.reshape(len(cx.h2), cx.ne, cx.ne)[:, rows][:, :, cols]
+    return np.concatenate(
+        [res.reshape(len(res), len(rows) * len(cols)).T, hx.d1], axis=1)
+
+
 def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
     """Exactness of H1(H) -cor-> H1(G) -cup chi-> H2(G) -res-> H2(H)
     at the two middle spots, for p = 2 and H = ker(chi)."""
@@ -745,9 +762,6 @@ def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
         raise NonPrimeModulus("the four-term check runs at p = 2")
     if not chi.is_surjective_mod_p():
         raise NotSurjective("chi = 0 is rejected")
-    if group.order > H2_ORDER_LIMIT:
-        raise BudgetExceeded(
-            f"four-term check capped at order {H2_ORDER_LIMIT}")
     p = 2
     cx = cochain_complex(group, p)
     h = kernel_of_character(group, chi)
@@ -779,12 +793,9 @@ def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
     # kernel of the restriction H^2(G) -> H^2(H) in the same coordinates
     ker_res = []
     if len(cx.h2):
-        res_cols = [hx.gs_entries(hx.flatten(
-            restriction(cx.unflatten(row, 2), h))) for row in cx.h2]
-        mat = np.concatenate([np.array(res_cols).T, hx.d1], axis=1) % p
         # nullspace directions mix in pure coboundaries of H; the leading
         # coordinate blocks span the kernel subspace
-        for combo in nullspace_array(mat, p):
+        for combo in nullspace_array(_restriction_matrix(cx, h), p):
             c_part = combo[: len(cx.h2)] % p
             if c_part.any():
                 ker_res.append(c_part)
@@ -909,11 +920,9 @@ def formal_h90_check(group: FiniteGroup, theta: Orientation,
     For every subgroup H and 1 <= n <= n_max, decides whether
     H^1(H, Z/p^n twisted) -> H^1(H, Z/p twisted) is onto, and likewise
     for the consecutive level-(n-1) map.  Requires the orientation
-    modulus to be at least p^n_max.
+    modulus to be at least p^n_max; the group order is bounded by
+    ``enumerate_subgroups``.
     """
-    if group.order > H90_ORDER_LIMIT:
-        raise BudgetExceeded(
-            f"subgroup sweep capped at order {H90_ORDER_LIMIT}")
     m = theta.modulus
     factors = {}
     mm = m

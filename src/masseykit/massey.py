@@ -16,8 +16,11 @@ complex's generating-set coordinates), which decide membership in
 im(d1) and in any span of cocycles.  The final solve runs in
 coordinates on C^2 / im(d1) read off the cached d1 solver's transform,
 so its matrix has only the 2 dim H^1 cup columns and no solver is built
-per decision.  The sweep is exhaustive over all defining systems, which
-makes the outcome a decision, not a heuristic.
+per decision.  The route's own checks, ``validate_defining_system`` on
+every witness and the zero value of a vanishing one, read the same rows,
+so the route never builds a full bar-complex cochain in degree 2.  The
+sweep is exhaustive over all defining systems, which makes the outcome a
+decision, not a heuristic.
 
 Presented groups: a character tuple lifts to the unitriangular group
 U(n+1, p), or its corner-free quotient, exactly when a defining system
@@ -54,13 +57,11 @@ from .cohomology import (
     Character,
     Cochain,
     CohomClass,
+    _restriction_matrix,
     characters_of,
-    coboundary,
     cochain_complex,
     corestriction_deg1,
     cup,
-    h_basis,
-    is_coboundary,
     restriction,
 )
 from .groups import (
@@ -129,40 +130,58 @@ class DefiningSystem:
     def entry(self, i: int, j: int) -> Cochain:
         return self.entries[(i, j)]
 
-    def positions(self):
-        return _system_positions(self.n)
-
 
 def _system_positions(n: int):
     return [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)
             if (i, j) != (1, n + 1)]
 
 
+def _cup_rhs(cx, a: dict, i: int, j: int) -> np.ndarray:
+    """The G x S entries of -sum_{i<l<j} a[i][l] cup a[l][j], which
+    d(a[i][j]) must equal, for entries given as vectors over the
+    non-identity elements."""
+    rhs = cx.cup_gs(-a[(i, i + 1)], a[(i + 1, j)])
+    for l in range(i + 2, j):
+        rhs = (rhs - cx.cup_gs(a[(i, l)], a[(l, j)])) % cx.p
+    return rhs
+
+
 def validate_defining_system(ds: DefiningSystem,
                              chars: Sequence[Character]) -> bool:
-    """Both defining-system conditions, checked exactly."""
+    """Both defining-system conditions, checked exactly on the G x S rows
+    of the group's generating-set complex (``cochain_complex``).
+
+    Each superdiagonal entry must equal its character and have d1 a = 0
+    on G x S; da is a cocycle, so it then vanishes by fact (b) of the
+    complex, and a is a homomorphism.  Each inner entry must make the
+    G x S entries of d(a[i][j]) + sum_l a[i][l] cup a[l][j] vanish.  By
+    induction on j - i, once the lower layers hold that residual is a
+    normalized 2-cocycle, which (b) makes zero when it vanishes on G x S;
+    so the check is exact.  Entries or characters on another group or
+    modulus, and twisted or non-degree-1 entries, raise ValueError.
+    """
     n = ds.n
     if len(chars) != n:
         return False
     want = set(_system_positions(n))
     if set(ds.entries) != want:
         return False
+    for c in [*ds.entries.values(), *chars]:
+        if c.group is not ds.group or c.modulus != ds.prime:
+            raise ValueError("entries and characters must live on the "
+                             "system's group mod p")
+    if any(c.degree != 1 or c.twist is not None
+           for c in ds.entries.values()):
+        raise ValueError("entries must be untwisted 1-cochains")
+    cx = cochain_complex(ds.group, ds.prime)
+    a = {key: cx.char_vec(c) for key, c in ds.entries.items()}
     for i in range(1, n + 1):
-        a = ds.entry(i, i + 1)
-        if not coboundary(a).is_zero():
+        if not np.array_equal(ds.entry(i, i + 1).values, chars[i - 1].values):
             return False
-        if is_coboundary(a - chars[i - 1]) is None:
+        if ((cx.d1 @ a[(i, i + 1)]) % cx.p).any():
             return False
-    for (i, j) in want:
-        if j - i < 2:
-            continue
-        rhs = None
-        for l in range(i + 1, j):
-            term = cup(ds.entry(i, l), ds.entry(l, j))
-            rhs = term if rhs is None else rhs + term
-        if coboundary(ds.entry(i, j)) != rhs.scale(-1):
-            return False
-    return True
+    return not any(((cx.d1 @ a[(i, j)] - _cup_rhs(cx, a, i, j)) % cx.p).any()
+                   for (i, j) in want if j - i >= 2)
 
 
 def defining_system_value(ds: DefiningSystem) -> CohomClass:
@@ -198,6 +217,12 @@ class MasseyReport:
 # ---------------------------------------------------------------------------
 # finite-group status decisions
 # ---------------------------------------------------------------------------
+#
+# The entries of a defining system are held as vectors over the
+# non-identity elements, in a dict keyed by position (i, j).  A value
+# lies in span(cup columns) + im(d1) iff its coordinates on C^2 / im(d1)
+# lie in the span of the cup columns' coordinates: one solve on a matrix
+# with 2 dim H^1 columns, which builds no solver.
 
 def _check_char_tuple(group: FiniteGroup, chars: Sequence[Character]) -> int:
     if len(chars) < 2:
@@ -211,67 +236,25 @@ def _check_char_tuple(group: FiniteGroup, chars: Sequence[Character]) -> int:
     return p
 
 
-class _StatusWorkspace:
-    """Per-(group, p, characters) linear machinery.
+def _value_cups(cx, first, last) -> np.ndarray:
+    """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
+    one column per character basis vector psi_b."""
+    return cx.cokernel_coords(np.concatenate(
+        [cx.cup_gs(first, cx.z1), cx.cup_gs(cx.z1, last)]).T)
 
-    Every 2-cochain here is held by its G x S entries alone (the
-    complex's generating-set coordinates), which decide membership in
-    im(d1) for cocycles.  Vanishing tests run in the complex's
-    coordinates on C^2 / im(d1): a 2-cocycle lies in span(cup columns) +
-    im(d1) iff its coordinates lie in the span of the cup columns'
-    coordinates, which is one solve on a matrix with 2 dim H^1 columns
-    and builds no solver.
-    """
 
-    def __init__(self, group, p, chars):
-        self.cx = cochain_complex(group, p)
-        self.p = p
-        self.vecs = [self.cx.char_vec(c) for c in chars]
-        self.z1 = self.cx.z1
-        self.solver = self.cx.d1_solver
+def _value_split(cx, cups, value):
+    """Coefficients (s, t) with value - sum_b s_b (chi_first cup psi_b)
+    - sum_b t_b (psi_b cup chi_last) in im(d1), or None.
 
-    def cupflat(self, u, w):
-        """G x S entries of u cup w: u(g) w(s)."""
-        return np.multiply.outer(u, w[self.cx.gens_col]).ravel() % self.p
-
-    def cup_columns(self, left, right):
-        """G x S entries of the cups left[k] cup right[k], one column per
-        k; a single vector on one side is paired with every row on the
-        other."""
-        left, right = np.atleast_2d(left), np.atleast_2d(right)
-        cups = left[:, :, None] * right[:, None, self.cx.gens_col]
-        return (cups.reshape(len(cups), self.solver.rows) % self.p).T
-
-    def value_cups(self, first_vec, last_vec):
-        """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
-        one column per character basis vector psi_b."""
-        return self.cx.cokernel_coords(np.concatenate(
-            [self.cup_columns(first_vec, self.z1),
-             self.cup_columns(self.z1, last_vec)], axis=1))
-
-    def value_split(self, cups, value):
-        """Coefficients (s, t) with value - sum_b s_b (chi_first cup psi_b)
-        - sum_b t_b (psi_b cup chi_last) in im(d1), or None.
-
-        ``value`` holds the G x S entries of a 2-cocycle, as every value
-        of a defining system is; on a non-cocycle the answer means
-        nothing, since only G x S entries are read."""
-        sol = gf_core.solve_array(cups, self.cx.cokernel_coords(value),
-                                  self.p)
-        if sol is None:
-            return None
-        z = len(self.z1)
-        return sol[0][:z], sol[0][z:]
-
-    def combo_vec(self, coeffs):
-        return (np.asarray(coeffs, dtype=np.int64) @ self.z1) % self.p
-
-    def to_cochain(self, vec) -> Cochain:
-        return self.cx.unflatten(vec, 1)
-
-    @property
-    def group(self):
-        return self.cx.group
+    ``value`` holds the G x S entries of a 2-cocycle, as every value of
+    a defining system is; on a non-cocycle the answer means nothing,
+    since only G x S entries are read."""
+    sol = gf_core.solve_array(cups, cx.cokernel_coords(value), cx.p)
+    if sol is None:
+        return None
+    z = len(cx.z1)
+    return sol[0][:z], sol[0][z:]
 
 
 def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
@@ -290,98 +273,86 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
     if group.order > STATUS_ORDER_LIMIT:
         raise BudgetExceeded(
             f"status decisions capped at order {STATUS_ORDER_LIMIT}")
-    ws = _StatusWorkspace(group, p, chars)
+    cx = cochain_complex(group, p)
+    a = {(i, i + 1): cx.char_vec(c) for i, c in enumerate(chars, 1)}
     if n == 2:
-        return _status_n2(ws, chars)
+        return _status_n2(cx, chars, a)
     if n == 3:
-        return _status_n3(ws, chars)
-    return _status_n4(ws, chars, budget)
+        return _status_n3(cx, chars, a)
+    return _status_n4(cx, chars, a, budget)
 
 
-def _witness(ws, chars, inner: dict, zero_value: bool = False
+def _witness(cx, chars, a: dict, zero_value: bool = False
              ) -> DefiningSystem:
-    """The defining system with the given inner entries, validated; with
-    ``zero_value`` its value class is also required to vanish."""
+    """The defining system with entry vectors ``a``, validated; with
+    ``zero_value`` its value, a cocycle, is also required to be a
+    coboundary on G x S."""
     n = len(chars)
-    entries = {}
-    for i in range(1, n + 1):
-        entries[(i, i + 1)] = Cochain(ws.group, 1, ws.p, chars[i - 1].values)
-    for key, vec in inner.items():
-        entries[key] = ws.to_cochain(vec)
-    ds = DefiningSystem(ws.group, ws.p, n, entries)
+    ds = DefiningSystem(cx.group, cx.p, n,
+                        {key: cx.unflatten(vec, 1) for key, vec in a.items()})
     if not validate_defining_system(ds, chars):
         raise InternalInconsistency("constructed witness fails validation")
-    if zero_value and not defining_system_value(ds).is_zero_class():
+    if zero_value and cx.d1_solver.solve(_cup_rhs(cx, a, 1, n + 1)) is None:
         raise InternalInconsistency("vanishing witness has nonzero value")
     return ds
 
 
-def _status_n2(ws, chars) -> MasseyReport:
+def _status_n2(cx, chars, a) -> MasseyReport:
     stats = {"method": "cup", "solves": 1}
-    val = ws.cupflat(ws.vecs[0], ws.vecs[1])
-    vanish = ws.solver.solve((-val) % ws.p) is not None
-    witness = _witness(ws, chars, {})
+    vanish = cx.d1_solver.solve(_cup_rhs(cx, a, 1, 3)) is not None
     status = MasseyStatus.VANISHES if vanish \
         else MasseyStatus.DEFINED_NOT_VANISHING
-    return MasseyReport(status, witness, stats)
+    return MasseyReport(status, _witness(cx, chars, a), stats)
 
 
-def _status_n3(ws, chars) -> MasseyReport:
-    p = ws.p
-    c13 = (-ws.cupflat(ws.vecs[0], ws.vecs[1])) % p
-    c24 = (-ws.cupflat(ws.vecs[1], ws.vecs[2])) % p
-    f13 = ws.solver.solve(c13)
-    f24 = ws.solver.solve(c24)
+def _status_n3(cx, chars, a) -> MasseyReport:
+    p, z1 = cx.p, cx.z1
+    f13 = cx.d1_solver.solve(_cup_rhs(cx, a, 1, 3))
+    f24 = cx.d1_solver.solve(_cup_rhs(cx, a, 2, 4))
     stats = {"method": "linear", "solves": 2}
     if f13 is None or f24 is None:
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    value0 = (-(ws.cupflat(ws.vecs[0], f24) + ws.cupflat(f13, ws.vecs[2]))) % p
-    sol = ws.value_split(ws.value_cups(ws.vecs[0], ws.vecs[2]), value0)
+    a.update({(1, 3): f13, (2, 4): f24})
+    sol = _value_split(cx, _value_cups(cx, a[(1, 2)], a[(3, 4)]),
+                       _cup_rhs(cx, a, 1, 4))
     stats["solves"] += 1
     if sol is None:
-        witness = _witness(ws, chars, {(1, 3): f13, (2, 4): f24})
+        witness = _witness(cx, chars, a)
         stats["certificate"] = ("value coset misses the coboundaries: "
                                 "one inconsistent linear system")
         return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING, witness, stats)
     s_coeffs, t_coeffs = sol
-    a24 = (f24 + ws.combo_vec(s_coeffs)) % p
-    a13 = (f13 + ws.combo_vec(t_coeffs)) % p
-    witness = _witness(ws, chars, {(1, 3): a13, (2, 4): a24},
-                       zero_value=True)
+    a[(2, 4)] = (f24 + s_coeffs @ z1) % p
+    a[(1, 3)] = (f13 + t_coeffs @ z1) % p
+    witness = _witness(cx, chars, a, zero_value=True)
     return MasseyReport(MasseyStatus.VANISHES, witness, stats)
 
 
-def _status_n4(ws, chars, budget: int) -> MasseyReport:
-    p = ws.p
-    v1, v2, v3, v4 = ws.vecs
-    c13 = (-ws.cupflat(v1, v2)) % p
-    c24 = (-ws.cupflat(v2, v3)) % p
-    c35 = (-ws.cupflat(v3, v4)) % p
-    f13 = ws.solver.solve(c13)
-    f24 = ws.solver.solve(c24)
-    f35 = ws.solver.solve(c35)
+def _status_n4(cx, chars, a, budget: int) -> MasseyReport:
+    p, z1, solve = cx.p, cx.z1, cx.d1_solver.solve
+    middle = ((1, 3), (2, 4), (3, 5))
+    f13, f24, f35 = (solve(_cup_rhs(cx, a, i, j)) for i, j in middle)
     stats = {"method": "layered-linear", "solves": 3}
     if f13 is None or f24 is None or f35 is None:
         return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    z = len(ws.z1)
-    coords = ws.cx.cokernel_coords
+    a.update({(1, 3): f13, (2, 4): f24, (3, 5): f35})
+    v1, v2, v3, v4 = (a[(i, i + 1)] for i in range(1, 5))
+    z = len(z1)
+    coords = cx.cokernel_coords
 
     # feasibility of the third layer is linear in the middle-layer
     # coefficients (beta for a13, gamma for a24, delta for a35):
     #   c14 = -(chi1 cup a24 + a13 cup chi3), c25 = -(chi2 cup a35 + a24 cup chi4)
-    c14_0 = (-(ws.cupflat(v1, f24) + ws.cupflat(f13, v3))) % p
-    c25_0 = (-(ws.cupflat(v2, f35) + ws.cupflat(f24, v4))) % p
-
     # unknown order: beta (a13), gamma (a24), delta (a35)
-    nrows = ws.solver.rows - ws.solver.rank
+    nrows = cx.d1_solver.rows - cx.d1_solver.rank
     lin = np.zeros((2 * nrows, 3 * z), dtype=np.int64)
     rhs = np.zeros(2 * nrows, dtype=np.int64)
-    lin[:nrows, z:2 * z] = (-coords(ws.cup_columns(v1, ws.z1))) % p
-    lin[:nrows, :z] = (-coords(ws.cup_columns(ws.z1, v3))) % p
-    rhs[:nrows] = (-coords(c14_0)) % p
-    lin[nrows:, 2 * z:] = (-coords(ws.cup_columns(v2, ws.z1))) % p
-    lin[nrows:, z:2 * z] = (-coords(ws.cup_columns(ws.z1, v4))) % p
-    rhs[nrows:] = (-coords(c25_0)) % p
+    lin[:nrows, z:2 * z] = (-coords(cx.cup_gs(v1, z1).T)) % p
+    lin[:nrows, :z] = (-coords(cx.cup_gs(z1, v3).T)) % p
+    rhs[:nrows] = (-coords(_cup_rhs(cx, a, 1, 4))) % p
+    lin[nrows:, 2 * z:] = (-coords(cx.cup_gs(v2, z1).T)) % p
+    lin[nrows:, z:2 * z] = (-coords(cx.cup_gs(z1, v4).T)) % p
+    rhs[nrows:] = (-coords(_cup_rhs(cx, a, 2, 5))) % p
     feas = gf_core.solve_array(lin, rhs, p)
     if feas is None:
         stats["certificate"] = "third-layer feasibility system inconsistent"
@@ -395,39 +366,33 @@ def _status_n4(ws, chars, budget: int) -> MasseyReport:
             f"{n_combos} feasible middle layers exceed budget {budget}",
             stats)
 
-    cups = ws.value_cups(v1, v4)
+    cups = _value_cups(cx, v1, v4)
     examined = 0
     first_defined = None
     for coeffs in itertools.product(range(p), repeat=len(kernel)):
         combo = (part + np.array(coeffs, dtype=np.int64) @ kernel) % p
-        beta, gamma, delta = combo[:z], combo[z:2 * z], combo[2 * z:]
-        a13 = (f13 + ws.combo_vec(beta)) % p
-        a24 = (f24 + ws.combo_vec(gamma)) % p
-        a35 = (f35 + ws.combo_vec(delta)) % p
-        c14 = (-(ws.cupflat(v1, a24) + ws.cupflat(a13, v3))) % p
-        c25 = (-(ws.cupflat(v2, a35) + ws.cupflat(a24, v4))) % p
-        f14 = ws.solver.solve(c14)
-        f25 = ws.solver.solve(c25)
+        b = dict(a)
+        for k, key in enumerate(middle):
+            b[key] = (a[key] + combo[k * z:(k + 1) * z] @ z1) % p
+        f14 = solve(_cup_rhs(cx, b, 1, 4))
+        f25 = solve(_cup_rhs(cx, b, 2, 5))
         if f14 is None or f25 is None:
             raise InternalInconsistency(
                 "feasible middle layer failed the third-layer solve")
         examined += 1
-        inner = {(1, 3): a13, (2, 4): a24, (3, 5): a35,
-                 (1, 4): f14, (2, 5): f25}
+        b.update({(1, 4): f14, (2, 5): f25})
         if first_defined is None:
-            first_defined = dict(inner)
-        value0 = (-(ws.cupflat(v1, f25) + ws.cupflat(a13, a35)
-                    + ws.cupflat(f14, v4))) % p
-        sol = ws.value_split(cups, value0)
+            first_defined = dict(b)
+        sol = _value_split(cx, cups, _cup_rhs(cx, b, 1, 5))
         if sol is not None:
             s_coeffs, t_coeffs = sol
-            inner[(2, 5)] = (f25 + ws.combo_vec(s_coeffs)) % p
-            inner[(1, 4)] = (f14 + ws.combo_vec(t_coeffs)) % p
+            b[(2, 5)] = (f25 + s_coeffs @ z1) % p
+            b[(1, 4)] = (f14 + t_coeffs @ z1) % p
             stats["examined"] = examined
-            witness = _witness(ws, chars, inner, zero_value=True)
+            witness = _witness(cx, chars, b, zero_value=True)
             return MasseyReport(MasseyStatus.VANISHES, witness, stats)
     stats["examined"] = examined
-    witness = _witness(ws, chars, first_defined)
+    witness = _witness(cx, chars, first_defined)
     stats["certificate"] = (
         "all feasible middle layers swept; every final-layer value coset "
         "misses the coboundaries")
@@ -722,19 +687,12 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
     lhs = massey_status_finite(group, [chi1, chi2, chi3, chi1])
     h = kernel_of_character(group, chi1)
     hchars = characters_of(h.as_group, p)
-    res3 = restriction(chi3, h)
-    res3 = Character(h.as_group, p, res3.values)
-    g_h2 = h_basis(group, 2, p)
     hx = cochain_complex(h.as_group, p)
-    # restrictions of H^2(G) plus coboundaries of H, on the G x S entries
-    # of H, which decide the solves below because every right-hand side
-    # is a cup of characters, a cocycle
-    res_cols = [hx.gs_entries(hx.flatten(restriction(z.representative, h)))
-                for z in g_h2]
-    res_mat = np.concatenate(
-        [np.array(res_cols).T if res_cols else
-         np.zeros((len(hx.d1), 0), dtype=np.int64), hx.d1], axis=1)
-    res_solver = gf_core.PrimeSolver(res_mat, p)
+    res3 = hx.char_vec(restriction(chi3, h))
+    # every solve below has a cup of characters, a cocycle, on its right
+    # side, so the G x S entries of H decide it
+    res_solver = gf_core.PrimeSolver(
+        _restriction_matrix(cochain_complex(group, p), h), p)
 
     cor_cache = {c.values.tobytes(): corestriction_deg1(c, h) for c in hchars}
 
@@ -746,18 +704,17 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
     for phi in hchars:
         if cor(phi) != chi2:
             continue
-        phi_res3_zero = is_coboundary(cup(phi, res3)) is not None
-        if not phi_res3_zero:
+        phi_vec = hx.char_vec(phi)
+        if hx.d1_solver.solve(hx.cup_gs(phi_vec, res3)) is None:
             continue
         for psi in hchars:
             if cor(psi) != chi3:
                 continue
-            pp = cup(phi, psi)
-            if vanish_wit is None and is_coboundary(pp) is not None:
+            pp = hx.cup_gs(phi_vec, hx.char_vec(psi))
+            if vanish_wit is None and hx.d1_solver.solve(pp) is not None:
                 vanish_wit = (tuple(phi.values.tolist()),
                               tuple(psi.values.tolist()))
-            if defined_wit is None and res_solver.solve(
-                    hx.gs_entries(hx.flatten(pp))) is not None:
+            if defined_wit is None and res_solver.solve(pp) is not None:
                 defined_wit = (tuple(phi.values.tolist()),
                                tuple(psi.values.tolist()))
         if defined_wit and vanish_wit:

@@ -143,6 +143,33 @@ def dense_d2(group: gr.FiniteGroup, p: int, last=None) -> np.ndarray:
     return mat % p
 
 
+def dense_validate_defining_system(ds: msy.DefiningSystem, chars) -> bool:
+    """Both defining-system conditions from the definition, on the full
+    bar complex: every superdiagonal entry is a cocycle equal to its
+    character, and d(a[i][j]) = -sum_l a[i][l] cup a[l][j] as full
+    2-cochains; the reference for ``validate_defining_system``."""
+    n = ds.n
+    if len(chars) != n:
+        return False
+    want = {(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)
+            if (i, j) != (1, n + 1)}
+    if set(ds.entries) != want:
+        return False
+    for i in range(1, n + 1):
+        a = ds.entry(i, i + 1)
+        if not chm.coboundary(a).is_zero() or a != chars[i - 1]:
+            return False
+    for (i, j) in want:
+        if j - i < 2:
+            continue
+        rhs = chm.zero_cochain(ds.group, 2, ds.prime)
+        for l in range(i + 1, j):
+            rhs = rhs + chm.cup(ds.entry(i, l), ds.entry(l, j))
+        if chm.coboundary(ds.entry(i, j)) != rhs.scale(-1):
+            return False
+    return True
+
+
 def layered_search(group: gr.FiniteGroup, chars, solver=None,
                    budget: int = 2 ** 20) -> msy.MasseyReport:
     """Plain exhaustive layer-by-layer sweep; the oracle for
@@ -181,7 +208,7 @@ def layered_search(group: gr.FiniteGroup, chars, solver=None,
             vals[nonid] = vec
             entries[key] = chm.cochain(group, 1, p, vals)
         ds = msy.DefiningSystem(group, p, n, entries)
-        assert msy.validate_defining_system(ds, chars)
+        assert dense_validate_defining_system(ds, chars)
         return ds
 
     def systems():

@@ -670,9 +670,14 @@ def test_formal_h90_monotonicity():
 
 
 def test_formal_h90_budget():
-    g = gr.catalog("cyclic(32)")
+    # the subgroup sweep is bounded by enumerate_subgroups' order cap (64)
+    g = gr.catalog("cyclic(128)")
     with pytest.raises(BudgetExceeded):
-        chm.formal_h90_check(g, chm.Orientation(g, 4, (1,) * 32), 2)
+        chm.formal_h90_check(g, chm.Orientation(g, 4, (1,) * 128), 2)
+    # order 32 is within it: 36 subgroups of D16, three levels each
+    g = gr.catalog("dihedral(32)")
+    assert len(chm.formal_h90_check(g, chm.Orientation(g, 8, (1,) * 32),
+                                    3)) == 108
 
 
 def test_orientation_validation():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -22,6 +23,7 @@ from helpers import (
     char_rows_for,
     coordinate_character,
     dense_d1,
+    dense_validate_defining_system,
     layered_search,
 )
 
@@ -174,15 +176,14 @@ def test_value_split_matches_dense_rank():
         for row in cx.z2:
             assert chm.coboundary(cx.unflatten(row, 2)).is_zero()
         for _ in range(4):
-            ws = msy._StatusWorkspace(g, p, [rng.choice(cs), rng.choice(cs)])
-            first, last = ws.vecs
+            first, last = (cx.char_vec(rng.choice(cs)) for _ in range(2))
             full = np.array([np.multiply.outer(first, psi).ravel()
-                             for psi in ws.z1]
+                             for psi in cx.z1]
                             + [np.multiply.outer(psi, last).ravel()
-                               for psi in ws.z1]).T % p
+                               for psi in cx.z1]).T % p
             span = np.concatenate([full, d1], axis=1)
             rank = gf.rref_array(span, p)[2]
-            cups = ws.value_cups(first, last)
+            cups = msy._value_cups(cx, first, last)
             for k in range(6):
                 coeffs = np.array([rng.randrange(p) for _ in full.T])
                 u = np.array([rng.randrange(p) for _ in range(cx.ne)])
@@ -193,7 +194,7 @@ def test_value_split_matches_dense_rank():
                 aug = np.concatenate([span, value[:, None]], axis=1)
                 member = gf.rref_array(aug, p)[2] == rank
                 misses += not member
-                sol = ws.value_split(cups, cx.gs_entries(value))
+                sol = msy._value_split(cx, cups, cx.gs_entries(value))
                 assert (sol is not None) == member, (name, k)
                 if sol is not None:
                     rest = (value - full @ np.concatenate(sol)) % p
@@ -201,6 +202,82 @@ def test_value_split_matches_dense_rank():
                     needed += gf.solve_array(d1, value, p) is None
     assert needed
     assert misses
+
+
+# (group, p, character indices) of every status at n = 2, 3 and 4
+STATUS_TUPLES = [
+    ("quaternion8", 2, (0, 0)), ("quaternion8", 2, (1, 1)),
+    ("quaternion8", 2, (0, 1, 1)), ("cyclic(3)", 3, (1, 1, 1)),
+    ("quaternion8", 2, (0, 0, 0)), ("quaternion8", 2, (0, 0, 1, 1)),
+    ("u3(2)", 2, (1, 2, 1, 2)), ("quaternion8", 2, (0, 0, 0, 0)),
+]
+
+
+def test_status_builds_no_full_bar_cochain(monkeypatch):
+    # the finite route decides and checks everything on the G x S rows of
+    # its complex: no full degree-2 coboundary or cup is ever formed
+    def refuse(*args):
+        raise AssertionError("full bar-complex arithmetic")
+
+    for name in ("coboundary", "cup"):
+        monkeypatch.setattr(chm, name, refuse)
+        if hasattr(msy, name):
+            monkeypatch.setattr(msy, name, refuse)
+    seen = set()
+    for name, p, idx in STATUS_TUPLES:
+        g = gr.catalog(name)
+        cs = chm.characters_of(g, p)
+        rep = msy.massey_status_finite(g, [cs[i] for i in idx])
+        seen.add((len(idx), rep.status))
+    assert seen == {(n, s) for n in (2, 3, 4) for s in msy.MasseyStatus} \
+        - {(2, msy.MasseyStatus.UNDEFINED)}
+
+
+def _non_cocycle(rng, g, p):
+    while True:
+        c = chm.cochain(g, 1, p, [rng.randrange(p) for _ in range(g.order)])
+        if not chm.coboundary(c).is_zero():
+            return c
+
+
+def test_validate_matches_full_bar_reference():
+    # the witnesses of STATUS_TUPLES and of seeded tuples at p = 2, 3 and
+    # n = 2, 3, 4, and every single-position perturbation of each: a
+    # superdiagonal entry made a non-homomorphism, an inner entry shifted
+    # by a non-cocycle or by a character
+    rng = random.Random(9)
+    outcomes = set()
+    witnesses = collections.Counter()
+    for name, p in (("quaternion8", 2), ("u3(2)", 2), ("product(4,4)", 2),
+                    ("cyclic(3)", 3), ("u3(3)", 3), ("product(3,3)", 3)):
+        g = gr.catalog(name)
+        cs = chm.characters_of(g, p)
+        shifts = [c for c in cs if c.values.any()][:1]
+        tuples = [[cs[i] for i in idx]
+                  for other, _, idx in STATUS_TUPLES if other == name]
+        tuples += [[rng.choice(cs) for _ in range(n)]
+                   for n in (2, 3, 4) for _ in range(6)]
+        for tup in tuples:
+            ds = msy.massey_status_finite(g, tup).witness
+            if ds is None:
+                continue
+            witnesses[(len(tup), p)] += 1
+            systems = [ds]
+            for key, entry in ds.entries.items():
+                moves = [_non_cocycle(rng, g, p)]
+                if key[1] - key[0] > 1:
+                    moves += shifts
+                for move in moves:
+                    entries = dict(ds.entries)
+                    entries[key] = entry + chm.cochain(g, 1, p, move.values)
+                    systems.append(msy.DefiningSystem(g, p, len(tup),
+                                                      entries))
+            for system in systems:
+                want = dense_validate_defining_system(system, tup)
+                assert msy.validate_defining_system(system, tup) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+    assert min(witnesses[(n, p)] for n in (2, 3, 4) for p in (2, 3)) >= 3
 
 
 def test_status_fourfold_matches_layered_search_small():
