@@ -123,19 +123,20 @@ def _load_job(args) -> dict:
             raise InputError(f"input document is not valid JSON: {exc}")
         if not isinstance(job, dict):
             raise InputError("input document must be a JSON object")
-    if args.prime is not None:
-        job["prime"] = args.prime
-    if args.budget is not None:
-        job["budget"] = args.budget
-    if getattr(args, "scenario", None):
-        job["scenario"] = args.scenario
-    if args.modulus_exponent is not None:
-        job["modulus_exponent"] = args.modulus_exponent
-    if getattr(args, "presentation", None):
-        job["presentation"] = args.presentation
-    if getattr(args, "group", None):
-        job["group"] = args.group
+    # each subcommand declares only the flags it reads
+    for key in ("prime", "budget", "scenario", "modulus_exponent",
+                "presentation", "group"):
+        if getattr(args, key, None) is not None:
+            job[key] = getattr(args, key)
     return job
+
+
+def _job_int(job: dict, key: str, default: int) -> int:
+    value = job.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{key!r} must be an integer, not {value!r}")
 
 
 def _job_presentation(job: dict) -> Optional[grp.Presentation]:
@@ -186,7 +187,7 @@ def _job_characters(job: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_massey(job: dict) -> tuple[dict, int]:
-    prime = int(job.get("prime", 2))
+    prime = _job_int(job, "prime", 2)
     report = _envelope("massey", job)
     pres = _job_presentation(job)
     if pres is not None:
@@ -194,7 +195,7 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
         n = len(rows)
         if n < 2:
             raise InputError("need at least two characters")
-        budget = int(job.get("budget", msy.DEFAULT_LIFT_BUDGET))
+        budget = _job_int(job, "budget", msy.DEFAULT_LIFT_BUDGET)
         try:
             shape = ut.UniShape(n + 1, prime)
             # the unbarred search has at least as many candidates as the
@@ -230,7 +231,7 @@ def cmd_massey(job: dict) -> tuple[dict, int]:
         chars = [chm.character(group, row, prime) for row in rows]
     except ValueError as exc:
         raise InputError(f"bad character: {exc}")
-    budget = int(job.get("budget", msy.DEFAULT_STATUS_BUDGET))
+    budget = _job_int(job, "budget", msy.DEFAULT_STATUS_BUDGET)
     try:
         result = msy.massey_status_finite(group, chars, budget)
     except ValueError as exc:
@@ -380,7 +381,7 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
     group = _job_group(job)
     if group is None:
         raise InputError("cohomology jobs need a finite group")
-    prime = int(job.get("prime", 2))
+    prime = _job_int(job, "prime", 2)
     report = _envelope("cohomology", job)
     h1 = chm.h_basis(group, 1, prime)
     h2 = chm.h_basis(group, 2, prime)
@@ -408,11 +409,13 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
                 "exact_at_h1": rep.exact_at_h1, "exact_at_h2": rep.exact_at_h2}
         verdicts["four_term"] = four
     if "orientation" in job:
-        units = job["orientation"]
-        n_max = int(job.get("modulus_exponent", 1))
-        modulus = prime ** max(
-            n_max, int(job.get("orientation_exponent", n_max)))
-        theta = chm.Orientation(group, modulus, units)
+        n_max = _job_int(job, "modulus_exponent", 1)
+        if n_max < 1:
+            raise InputError("'modulus_exponent' must be at least 1")
+        try:
+            theta = chm.Orientation(group, prime ** n_max, job["orientation"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad orientation: {exc}")
         reports = chm.formal_h90_check(group, theta, n_max)
         verdicts["formal_h90"] = [
             {"subgroup": list(r.subgroup_members), "level": r.level,
@@ -424,8 +427,16 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
     return report, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1): argparse's own exit
+    code 2 is the budget-exceeded code here."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="masseykit",
         description="Mod-p group cohomology operations and Massey product "
                     "decisions for finite and finitely presented groups.")
@@ -435,14 +446,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="JSON job document")
         sp.add_argument("--output", help="write the report here (atomic); "
                                          "default stdout")
-        sp.add_argument("--prime", type=int, default=None)
-        sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--modulus-exponent", dest="modulus_exponent",
-                        type=int, default=None)
 
     sp = sub.add_parser("massey", help="Massey product status for a "
                                        "character tuple")
     common(sp)
+    sp.add_argument("--prime", type=int)
+    sp.add_argument("--budget", type=int)
     sp.add_argument("--presentation",
                     help="named presentation shortcut (paper-g, paper-h)")
     sp.add_argument("--group", help="catalog group name")
@@ -457,14 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cohomology", help="dimensions, bases and maps of "
                                            "a finite group")
     common(sp)
+    sp.add_argument("--prime", type=int)
+    sp.add_argument("--modulus-exponent", dest="modulus_exponent", type=int)
     sp.add_argument("--group", help="catalog group name")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         job = _load_job(args)
         if getattr(args, "characters", None):
             try:

@@ -29,7 +29,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -303,6 +303,33 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
 # the cached complex of one group mod p
 # ---------------------------------------------------------------------------
 
+def _gs_d1(group: FiniteGroup, gens, theta=None) -> np.ndarray:
+    """Integer matrix of C^1 -> C^2 on the rows (g, s), g non-identity and
+    s in ``gens``, at row g |S| + s, over the non-identity elements:
+    (df)(g, s) = f(g) + theta(g) f(s) - f(gs), theta one integer unit per
+    element (1 when not given).  For a multiplicative theta, a normalized
+    1-cochain is a crossed homomorphism iff it vanishes on these rows, by
+    induction on word length as in fact (a) of ``_Complex``."""
+    n = group.order
+    nonid = np.array([i for i in range(n) if i != group.identity],
+                     dtype=np.int64)
+    col = np.full(n, -1, dtype=np.int64)
+    col[nonid] = np.arange(n - 1)
+    gens = np.asarray(gens, dtype=np.int64)
+    ns = len(gens)
+    twist = np.ones(n, dtype=np.int64) if theta is None \
+        else np.asarray(theta, dtype=np.int64)
+    rows = np.arange((n - 1) * ns)
+    mat = np.zeros((len(rows), n - 1), dtype=np.int64)
+    np.add.at(mat, (rows, rows // ns), 1)
+    np.add.at(mat, (rows, np.tile(col[gens], n - 1)),
+              np.repeat(twist[nonid], ns))
+    prods = col[group.mul[np.ix_(nonid, gens)]].ravel()
+    keep = prods >= 0
+    np.add.at(mat, (rows[keep], prods[keep]), -1)
+    return mat
+
+
 class _Complex:
     """Coboundary matrices and solvers of one finite group mod p, in
     generating-set coordinates.
@@ -399,16 +426,7 @@ class _Complex:
         """Matrix of C^1 -> C^2 on the G x S rows:
         (df)(g, s) = f(g) + f(s) - f(gs)."""
         if self._d1 is None:
-            ns = len(self.gens)
-            rows = np.arange(self.ne * ns)
-            mat = np.zeros((len(rows), self.ne), dtype=np.int64)
-            np.add.at(mat, (rows, rows // ns), 1)
-            np.add.at(mat, (rows, np.tile(self.gens_col, self.ne)), 1)
-            prods = self.col_of[
-                self.group.mul[np.ix_(self.nonid, self.gens)]].ravel()
-            keep = prods >= 0
-            np.add.at(mat, (rows[keep], prods[keep]), -1)
-            self._d1 = mat % self.p
+            self._d1 = _gs_d1(self.group, self.gens) % self.p
         return self._d1
 
     @property
@@ -816,103 +834,6 @@ class ReductionReport:
     consecutive_surjective: bool
 
 
-class _CrossedHomCounter:
-    """Counts of twisted H^1 data of one subgroup at prime-power levels.
-
-    Crossed homomorphisms are cut out by integer congruences on the
-    values over non-identity elements; all group orders come from Smith
-    normal forms, so no enumeration of cochains happens.
-    """
-
-    def __init__(self, sub: FiniteGroup, theta_units: Sequence[int], p: int):
-        self.sub = sub
-        self.p = p
-        self.theta = [int(t) for t in theta_units]
-        self.ne = sub.order - 1
-        self.nonid = [i for i in range(sub.order) if i != sub.identity]
-        self.col = {e: k for k, e in enumerate(self.nonid)}
-        gens = _generating_sequence(sub)
-        rows = []
-        for s in gens:
-            for x in range(sub.order):
-                row = [0] * self.ne
-                prod = sub.mul_idx(s, x)
-                if prod != sub.identity:
-                    row[self.col[prod]] += 1
-                if s != sub.identity:
-                    row[self.col[s]] -= 1
-                if x != sub.identity:
-                    row[self.col[x]] -= self.theta[s]
-                if any(row):
-                    rows.append(row)
-        self.rows = rows
-
-    @staticmethod
-    def _count(rows, m: int, cols: int) -> int:
-        """Number of solutions of rows . x = 0 (mod m) in (Z/m)^cols."""
-        if not rows or cols == 0:
-            return m ** cols
-        snf = smith_normal_form(rows)
-        total = 1
-        for j in range(cols):
-            d = snf.diag[j] if j < snf.rank else 0
-            total *= math.gcd(d, m) if d else m
-        return total
-
-    def _scaled_rows(self, n: int):
-        # crossed-hom conditions use theta mod p^n
-        m = self.p ** n
-        return [[x % m for x in row] for row in self.rows], m
-
-    def coboundary_vector(self, n: int) -> list[int]:
-        m = self.p ** n
-        return [(self.theta[e] - 1) % m for e in self.nonid]
-
-    def z1_order(self, n: int) -> int:
-        rows, m = self._scaled_rows(n)
-        return self._count(rows, m, self.ne)
-
-    def b1_order(self, n: int) -> int:
-        # order of the cyclic group of principal crossed homs a -> a*(theta-1)
-        m = self.p ** n
-        v = self.coboundary_vector(n)
-        if self.ne == 0:
-            return 1
-        c = 0
-        for x in v:
-            c = math.gcd(c, x)
-        c = math.gcd(c, m)
-        return m // c if c else 1
-
-    def h1_order(self, n: int) -> int:
-        return self.z1_order(n) // self.b1_order(n)
-
-    def image_order(self, n: int, t: int) -> int:
-        """Order of the image of H^1(mod p^n) -> H^1(mod p^t), t < n."""
-        m = self.p ** n
-        scale = self.p ** (n - t)
-        rows_n, _ = self._scaled_rows(n)
-        v_t = self.coboundary_vector(t)
-        # pairs (x, a) with x crossed mod p^n and x = a v_t mod p^t
-        pair_rows = [row + [0] for row in rows_n]
-        for k in range(self.ne):
-            row = [0] * (self.ne + 1)
-            row[k] = scale
-            row[self.ne] = (-scale * v_t[k]) % m
-            pair_rows.append(row)
-        n_pairs = self._count(pair_rows, m, self.ne + 1)
-        mult_rows = [[(scale * x) % m] for x in v_t]
-        t_mult = self._count(mult_rows, m, 1)
-        n_kernel_cocycles = n_pairs // t_mult
-        ker = n_kernel_cocycles // self.b1_order(n)
-        return self.h1_order(n) // ker
-
-    def reduction_surjective(self, n: int, t: int) -> bool:
-        if n == t:
-            return True
-        return self.image_order(n, t) == self.h1_order(t)
-
-
 def formal_h90_check(group: FiniteGroup, theta: Orientation,
                      n_max: int) -> list[ReductionReport]:
     """Surjectivity of twisted H^1 reduction maps, per subgroup per level.
@@ -922,31 +843,54 @@ def formal_h90_check(group: FiniteGroup, theta: Orientation,
     for the consecutive level-(n-1) map.  Requires the orientation
     modulus to be at least p^n_max; the group order is bounded by
     ``enumerate_subgroups``.
+
+    All levels come from one Smith normal form per subgroup.  With d_i
+    its diagonal on ``_gs_d1`` of H (theta lifted to integers, d_i = 0
+    past the rank) and c = gcd over h of theta(h) - 1, the unimodular
+    SNF transforms stay invertible mod p^k, so
+        |Z^1(k)| = prod_i gcd(d_i, p^k),  |H^0(k)| = gcd(c, p^k),
+        |B^1(k)| = p^k / |H^0(k)|,        |H^1(k)| = |Z^1(k)| / |B^1(k)|.
+    For t <= n, 0 -> Z/p^(n-t) -> Z/p^n -> Z/p^t -> 0 (times p^t, then
+    reduction) gives the exact sequence (Brown, Cohomology of Groups,
+    III.6) H^0(n) -> H^0(t) -> H^1(n-t) -> H^1(n) -r-> H^1(t).  If i is
+    the order of the image of H^0(n) in H^0(t), the kernel of r has order
+    |H^1(n-t)| i / |H^0(t)|, so r is onto iff
+    |H^1(n)| |H^0(t)| = |H^1(t)| |H^1(n-t)| i.  H^0(n) is cyclic,
+    generated by p^n / |H^0(n)|, so i = p^t / gcd(p^n / |H^0(n)|, p^t).
     """
     m = theta.modulus
-    factors = {}
-    mm = m
-    for q in range(2, mm + 1):
-        while mm % q == 0:
-            factors[q] = factors.get(q, 0) + 1
-            mm //= q
-        if mm == 1:
-            break
-    if len(factors) != 1:
+    p = next((q for q in range(2, m + 1) if m % q == 0), 0)
+    k = 1
+    while p and p ** k < m:
+        k += 1
+    if not p or p ** k != m:
         raise ValueError("orientation modulus must be a prime power")
-    (p, k), = factors.items()
     if n_max > k:
         raise ValueError("n_max exceeds the orientation modulus exponent")
     reports = []
     for sub in enumerate_subgroups(group):
+        h = sub.as_group
         units = [theta.unit_values[i] for i in sub.member_indices]
-        counter = _CrossedHomCounter(sub.as_group, units, p)
+        diag = smith_normal_form(
+            _gs_d1(h, _generating_sequence(h), units)).diag
+        free = h.order - 1 - len(diag)
+        c = math.gcd(*(u - 1 for u in units))
+
+        def h0(j):
+            return math.gcd(c, p ** j)
+
+        def h1(j):
+            z1 = math.prod(math.gcd(d, p ** j) for d in diag) * p ** (j * free)
+            return z1 * h0(j) // p ** j
+
+        def onto(n, t):
+            i = p ** t // math.gcd(p ** n // h0(n), p ** t)
+            return h1(n) * h0(t) == h1(t) * h1(n - t) * i
+
         for n in range(1, n_max + 1):
-            red = counter.reduction_surjective(n, 1)
-            consec = counter.reduction_surjective(n, n - 1) if n >= 2 else True
             reports.append(ReductionReport(
                 subgroup_members=sub.member_indices,
                 level=n,
-                reduction_surjective=red,
-                consecutive_surjective=consec))
+                reduction_surjective=onto(n, 1),
+                consecutive_surjective=onto(n, n - 1)))
     return reports

@@ -134,11 +134,6 @@ class UniMatrix:
         return identity(self.shape)
 
 
-def from_dense(shape: UniShape, m) -> UniMatrix:
-    return UniMatrix(shape, tuple(m[i - 1][j - 1] % shape.prime
-                                  for (i, j) in shape.positions))
-
-
 def from_entries(shape: UniShape, entries: dict) -> UniMatrix:
     """Build from a {(i, j): value} mapping; missing positions are 0."""
     vals = [entries.get(ij, 0) for ij in shape.positions]

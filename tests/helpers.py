@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -11,7 +13,10 @@ from masseykit import cohomology as chm
 from masseykit import gf_core as gf
 from masseykit import groups as gr
 from masseykit import massey as msy
+from masseykit import unitriangular as ut
 from masseykit.errors import BudgetExceeded
+from masseykit.gf_core import smith_normal_form
+from masseykit.groups import FiniteGroup, _generating_sequence
 
 
 def bareiss_det(matrix) -> int:
@@ -73,6 +78,12 @@ def certify_max_p_quotient(pres: gr.Presentation, p: int, exponent: int) -> bool
         cur = nxt
     ab = gr.abelianization(cur)
     return ab.free_rank == 0 and all(d % p for d in ab.torsion)
+
+
+def from_dense(shape: ut.UniShape, m) -> ut.UniMatrix:
+    """The unitriangular matrix with the entries of a dense matrix m."""
+    return ut.UniMatrix(shape, tuple(m[i - 1][j - 1] % shape.prime
+                                     for (i, j) in shape.positions))
 
 
 def char_rows_for(group: gr.FiniteGroup, chars) -> list[list[int]]:
@@ -254,3 +265,124 @@ def layered_search(group: gr.FiniteGroup, chars, solver=None,
         return msy.MasseyReport(msy.MasseyStatus.UNDEFINED, None, stats)
     return msy.MasseyReport(msy.MasseyStatus.DEFINED_NOT_VANISHING,
                             witness(found_defined), stats)
+
+
+# ---------------------------------------------------------------------------
+# formal Hilbert 90: the reference counter of twisted H^1 orders, and the
+# orientations the tests sweep
+# ---------------------------------------------------------------------------
+
+def h90_orientations(group: gr.FiniteGroup, p: int, modulus: int,
+                     limit: int = 3) -> list[tuple[int, ...]]:
+    """The trivial orientation mod ``modulus`` (a power of p), then
+    u^chi for the first ``limit`` nonzero characters chi of G to Z/q and
+    each unit u of order q: q = p with u = 1 + modulus/p, and q = 2 with
+    u = -1.  All are multiplicative, so ``Orientation`` accepts them."""
+    out = [(1,) * group.order]
+    twists = [(p, 1 + modulus // p)] if modulus > p else []
+    if modulus > 2:
+        twists.append((2, modulus - 1))
+    for q, u in twists:
+        chars = [c for c in chm.characters_of(group, q) if c.values.any()]
+        for chi in chars[:limit]:
+            units = tuple(pow(u, int(v), modulus) for v in chi.values)
+            if units not in out:
+                out.append(units)
+    return out
+
+
+class _CrossedHomCounter:
+    """Counts of twisted H^1 data of one subgroup at prime-power levels.
+
+    Crossed homomorphisms are cut out by integer congruences on the
+    values over non-identity elements; all group orders come from Smith
+    normal forms, so no enumeration of cochains happens.
+    """
+
+    def __init__(self, sub: FiniteGroup, theta_units: Sequence[int], p: int):
+        self.sub = sub
+        self.p = p
+        self.theta = [int(t) for t in theta_units]
+        self.ne = sub.order - 1
+        self.nonid = [i for i in range(sub.order) if i != sub.identity]
+        self.col = {e: k for k, e in enumerate(self.nonid)}
+        gens = _generating_sequence(sub)
+        rows = []
+        for s in gens:
+            for x in range(sub.order):
+                row = [0] * self.ne
+                prod = sub.mul_idx(s, x)
+                if prod != sub.identity:
+                    row[self.col[prod]] += 1
+                if s != sub.identity:
+                    row[self.col[s]] -= 1
+                if x != sub.identity:
+                    row[self.col[x]] -= self.theta[s]
+                if any(row):
+                    rows.append(row)
+        self.rows = rows
+
+    @staticmethod
+    def _count(rows, m: int, cols: int) -> int:
+        """Number of solutions of rows . x = 0 (mod m) in (Z/m)^cols."""
+        if not rows or cols == 0:
+            return m ** cols
+        snf = smith_normal_form(rows)
+        total = 1
+        for j in range(cols):
+            d = snf.diag[j] if j < snf.rank else 0
+            total *= math.gcd(d, m) if d else m
+        return total
+
+    def _scaled_rows(self, n: int):
+        # crossed-hom conditions use theta mod p^n
+        m = self.p ** n
+        return [[x % m for x in row] for row in self.rows], m
+
+    def coboundary_vector(self, n: int) -> list[int]:
+        m = self.p ** n
+        return [(self.theta[e] - 1) % m for e in self.nonid]
+
+    def z1_order(self, n: int) -> int:
+        rows, m = self._scaled_rows(n)
+        return self._count(rows, m, self.ne)
+
+    def b1_order(self, n: int) -> int:
+        # order of the cyclic group of principal crossed homs a -> a*(theta-1)
+        m = self.p ** n
+        v = self.coboundary_vector(n)
+        if self.ne == 0:
+            return 1
+        c = 0
+        for x in v:
+            c = math.gcd(c, x)
+        c = math.gcd(c, m)
+        return m // c if c else 1
+
+    def h1_order(self, n: int) -> int:
+        return self.z1_order(n) // self.b1_order(n)
+
+    def image_order(self, n: int, t: int) -> int:
+        """Order of the image of H^1(mod p^n) -> H^1(mod p^t), t < n."""
+        m = self.p ** n
+        scale = self.p ** (n - t)
+        rows_n, _ = self._scaled_rows(n)
+        v_t = self.coboundary_vector(t)
+        # pairs (x, a) with x crossed mod p^n and x = a v_t mod p^t
+        pair_rows = [row + [0] for row in rows_n]
+        for k in range(self.ne):
+            row = [0] * (self.ne + 1)
+            row[k] = scale
+            row[self.ne] = (-scale * v_t[k]) % m
+            pair_rows.append(row)
+        n_pairs = self._count(pair_rows, m, self.ne + 1)
+        mult_rows = [[(scale * x) % m] for x in v_t]
+        t_mult = self._count(mult_rows, m, 1)
+        n_kernel_cocycles = n_pairs // t_mult
+        ker = n_kernel_cocycles // self.b1_order(n)
+        return self.h1_order(n) // ker
+
+    def reduction_surjective(self, n: int, t: int) -> bool:
+        if n == t:
+            return True
+        return self.image_order(n, t) == self.h1_order(t)

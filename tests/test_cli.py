@@ -162,6 +162,44 @@ def test_massey_bad_shape_is_input_error(capsys):
         assert "Traceback" not in err
 
 
+def test_bad_job_values_are_input_errors(tmp_path, capsys):
+    paper_g = {"type": "presentation", "generators": 2,
+               "relators": [[1, 1, 2, -1, -1, -2]],
+               "characters": [[1, 1], [1, 0], [1, 0]]}
+    finite = {"type": "finite-group", "group": "cyclic(2)",
+              "characters": [[0, 1], [0, 1]]}
+    probe = {"type": "finite-group", "group": "cyclic(2)",
+             "orientation": [1, 1], "modulus_exponent": 2}
+    jobs = [("massey", dict(finite, prime="x")),
+            ("massey", dict(finite, budget="x")),
+            ("massey", dict(paper_g, prime="x")),
+            ("massey", dict(paper_g, budget="x")),
+            ("cohomology", dict(probe, modulus_exponent="z")),
+            ("cohomology", dict(probe, modulus_exponent=0)),
+            ("cohomology", dict(probe, orientation=[1])),
+            ("cohomology", dict(probe, orientation=[1, 2])),
+            ("cohomology", dict(probe, orientation=None))]
+    for k, (command, document) in enumerate(jobs):
+        doc = tmp_path / f"job{k}.json"
+        doc.write_text(json.dumps(document))
+        assert cli.main([command, "--input", str(doc)]) == 1, document
+        err = capsys.readouterr().err
+        assert err.startswith("input error:"), (document, err)
+        assert "Traceback" not in err
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse would exit 2, the budget-exceeded code; each subcommand
+    # takes only the flags it reads
+    for argv in (["massey", "--prime", "abc"], ["verify", "--budget", "x"],
+                 ["bogus"], [], ["massey", "--modulus-exponent", "2"],
+                 ["cohomology", "--budget", "3"],
+                 ["verify", "--scenario", "u3-resolution", "--prime", "2"]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:"), (argv, err)
+
+
 def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):
     # four characters on elementary(2,4): 2^20 barred candidates fit the
     # default budget, the 2^24 unbarred ones do not, and the job must stop

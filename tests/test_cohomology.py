@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import time
@@ -19,9 +20,11 @@ from masseykit.errors import (
 )
 
 from helpers import (
+    _CrossedHomCounter,
     coordinate_character,
     dense_d1,
     dense_d2,
+    h90_orientations,
     random_cochain,
 )
 
@@ -638,18 +641,92 @@ def test_formal_h90_z2_twisted_matches_oracle():
 
 def test_formal_h90_oracle_sweep_small():
     # exhaustive cross-check of every reported flag on small probes
-    probes = [("cyclic(2)", (1, 1), 4, 2), ("cyclic(2)", (1, 3), 4, 2),
-              ("cyclic(4)", (1, 1, 1, 1), 4, 2),
-              ("cyclic(4)", (1, 3, 1, 3), 4, 2)]
-    for name, units, modulus, n_max in probes:
+    probes = [("cyclic(2)", 2, (1, 1), 4, 2), ("cyclic(2)", 2, (1, 3), 4, 2),
+              ("cyclic(4)", 2, (1, 1, 1, 1), 4, 2),
+              ("cyclic(4)", 2, (1, 3, 1, 3), 4, 2),
+              ("cyclic(3)", 3, (1, 1, 1), 9, 2),
+              ("cyclic(3)", 3, (1, 4, 7), 9, 2)]
+    for name, p, units, modulus, n_max in probes:
         g = gr.catalog(name)
         theta = chm.Orientation(g, modulus, units)
         for r in chm.formal_h90_check(g, theta, n_max):
             sub = gr.subgroup_from_members(g, r.subgroup_members)
             sub_units = tuple(units[i] for i in r.subgroup_members)
             want = _oracle_reduction_surjective(
-                sub.as_group, sub_units, 2, r.level)
+                sub.as_group, sub_units, p, r.level)
             assert r.reduction_surjective == want, (name, r)
+
+
+# (p, modulus, n_max, groups) swept with ``h90_orientations``
+H90_PINNED_CASES = [
+    (2, 8, 3, ("cyclic(2)", "cyclic(4)", "product(2,2)", "quaternion8",
+               "dihedral(8)", "dihedral(16)", "product(2,4)")),
+    (3, 27, 3, ("cyclic(3)", "cyclic(9)", "product(3,3)", "dihedral(6)",
+                "product(3,9)", "u3(3)")),
+    (2, 16, 4, ("cyclic(8)", "u3(2)", "product(2,8)")),
+    (5, 25, 2, ("cyclic(5)", "cyclic(25)", "product(5,5)", "dihedral(10)")),
+]
+
+
+def test_formal_h90_reports_are_pinned():
+    # sha256 over 2326 reports, trivial and twisted orientations at
+    # p = 2, 3 and 5; a change of method must keep every flag
+    digest = hashlib.sha256()
+    for p, modulus, n_max, names in H90_PINNED_CASES:
+        for name in names:
+            g = gr.catalog(name)
+            for units in h90_orientations(g, p, modulus):
+                theta = chm.Orientation(g, modulus, units)
+                for r in chm.formal_h90_check(g, theta, n_max):
+                    digest.update(repr((
+                        name, units, r.subgroup_members, r.level,
+                        r.reduction_surjective,
+                        r.consecutive_surjective)).encode())
+    assert digest.hexdigest() == (
+        "9b6bb27f55ccfd41c1db9561388a083006bb5014e4a34d1362b6978e00818273")
+
+
+def test_formal_h90_matches_crossed_hom_counter():
+    # the long-exact-sequence verdicts against the reference that counts
+    # the image of each reduction map with its own congruence system
+    cases = [(2, 8, ("cyclic(16)", "product(2,8)", "product(4,4)",
+                     "dihedral(16)", "product(4,8)")),
+             (3, 27, ("product(3,9)", "u3(3)", "elementary(3,3)"))]
+    for p, modulus, names in cases:
+        for name in names:
+            g = gr.catalog(name)
+            for units in h90_orientations(g, p, modulus, limit=1):
+                theta = chm.Orientation(g, modulus, units)
+                reports = iter(chm.formal_h90_check(g, theta, 3))
+                for sub in gr.enumerate_subgroups(g):
+                    ref = _CrossedHomCounter(
+                        sub.as_group,
+                        [units[i] for i in sub.member_indices], p)
+                    for n in range(1, 4):
+                        r = next(reports)
+                        assert r.subgroup_members == sub.member_indices
+                        assert r.level == n
+                        want = (ref.reduction_surjective(n, 1),
+                                ref.reduction_surjective(n, n - 1)
+                                if n >= 2 else True)
+                        assert (r.reduction_surjective,
+                                r.consecutive_surjective) == want, (
+                            name, units, r)
+                assert next(reports, None) is None
+
+
+def test_formal_h90_one_smith_form_per_subgroup(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(1)
+        return gf.smith_normal_form(matrix)
+
+    monkeypatch.setattr(chm, "smith_normal_form", counting)
+    g = gr.catalog("dihedral(16)")
+    theta = chm.Orientation(g, 16, h90_orientations(g, 2, 16)[1])
+    chm.formal_h90_check(g, theta, 4)
+    assert 0 < len(calls) <= len(gr.enumerate_subgroups(g))
 
 
 def test_formal_h90_monotonicity():

@@ -6,12 +6,14 @@ import pytest
 from masseykit import unitriangular as ut
 from masseykit.errors import BudgetExceeded, ShapeMismatch
 
+from helpers import from_dense
+
 
 def dense_mul_oracle(a, b):
     """Independent product: plain numpy matrix multiply mod p."""
     p = a.shape.prime
     prod = (np.array(a.dense()) @ np.array(b.dense())) % p
-    return ut.from_dense(a.shape, prod.tolist())
+    return from_dense(a.shape, prod.tolist())
 
 
 def test_identity_product():
@@ -70,7 +72,7 @@ def test_inverse_geometric_series_oracle():
     for _ in range(3):
         term = (term @ -n)
         acc = acc + term
-    expect = ut.from_dense(sh, (acc % 2).tolist())
+    expect = from_dense(sh, (acc % 2).tolist())
     assert ut.uni_inv(a) == expect
     assert ut.uni_mul(a, ut.uni_inv(a)) == ut.identity(sh)
 
