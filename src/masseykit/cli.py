@@ -29,6 +29,7 @@ from .errors import (
     UnknownScenario,
 )
 from . import cohomology as chm
+from .gf_core import is_prime
 from . import groups as grp
 from . import massey as msy
 from . import unitriangular as ut
@@ -139,9 +140,19 @@ def _job_int(job: dict, key: str, default: int) -> int:
         raise InputError(f"{key!r} must be an integer, not {value!r}")
 
 
+def _job_prime(job: dict) -> int:
+    prime = _job_int(job, "prime", 2)
+    if not is_prime(prime):
+        raise InputError(f"'prime' {prime} is not prime")
+    return prime
+
+
 def _job_presentation(job: dict) -> Optional[grp.Presentation]:
     if "presentation" in job:
         name = job["presentation"]
+        if not isinstance(name, str):
+            raise InputError(
+                f"'presentation' must be a shortcut name, not {name!r}")
         if name not in PRESENTATION_SHORTCUTS:
             raise InputError(f"unknown presentation shortcut {name!r}; "
                              f"known: {sorted(PRESENTATION_SHORTCUTS)}")
@@ -177,8 +188,9 @@ def _job_characters(job: dict):
     if chars is None:
         raise InputError("the job document needs a 'characters' list")
     if not isinstance(chars, list) or not all(
-            isinstance(c, list) for c in chars):
-        raise InputError("'characters' must be a list of value lists")
+            isinstance(c, list) and all(isinstance(v, int) for v in c)
+            for c in chars):
+        raise InputError("'characters' must be a list of integer lists")
     return chars
 
 
@@ -187,7 +199,7 @@ def _job_characters(job: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_massey(job: dict) -> tuple[dict, int]:
-    prime = _job_int(job, "prime", 2)
+    prime = _job_prime(job)
     report = _envelope("massey", job)
     pres = _job_presentation(job)
     if pres is not None:
@@ -381,7 +393,7 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
     group = _job_group(job)
     if group is None:
         raise InputError("cohomology jobs need a finite group")
-    prime = _job_int(job, "prime", 2)
+    prime = _job_prime(job)
     report = _envelope("cohomology", job)
     h1 = chm.h_basis(group, 1, prime)
     h2 = chm.h_basis(group, 2, prime)

@@ -150,8 +150,9 @@ class PrimeSolver:
         self.echelon = ech[: self.rank, : self.cols]
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
+        # b is reduced here: public callers may pass any integers
         y = (self.transform @ (np.asarray(b) % self.p)) % self.p
-        if np.any(y[self.rank:]):
+        if y[self.rank:].any():
             return None
         x = np.zeros(self.cols, dtype=np.int64)
         x[self.pivots] = y[: self.rank]

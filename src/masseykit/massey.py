@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -464,13 +465,23 @@ class UniLift:
 def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
                        characters) -> list[UniLift]:
     """UniLift objects for a batch of packed lifts, checked once as a
-    batch instead of once per object."""
+    batch instead of once per object.  One ``UniMatrix`` is built per
+    distinct image in the batch, and every lift carrying that image
+    shares it (the matrices are frozen): lifts differ from their
+    neighbours in a few kernel coordinates, so most images repeat."""
     _check_lifts(pres, shape, packed, characters)
+    matrices = {}
     lifts = []
     for row in packed:
         # one row at a time: a whole-batch tolist() would hold a nested
         # list of every entry next to the objects built from it
-        images = tuple(UniMatrix(shape, tuple(e)) for e in row.tolist())
+        images = []
+        for e in map(tuple, row.tolist()):
+            m = matrices.get(e)
+            if m is None:
+                m = matrices[e] = UniMatrix(shape, e)
+            images.append(m)
+        images = tuple(images)
         lift = object.__new__(UniLift)
         object.__setattr__(lift, "presentation", pres)
         object.__setattr__(lift, "shape", shape)
@@ -495,6 +506,22 @@ def _validate_char_rows(pres: Presentation, char_rows, p: int):
     return rows
 
 
+@lru_cache(maxsize=64)
+def _exponent_solver(pres: Presentation, p: int):
+    """The solver of the relators' exponent-sum system mod p, and its
+    kernel basis (Hom(G, Z/p) on the generators), built once per
+    (presentation, p) and shared by every search; the cached arrays are
+    read-only."""
+    gens = pres.generator_count
+    exponents = np.array(relator_exponent_matrix(pres), dtype=np.int64)
+    solver = gf_core.PrimeSolver(
+        exponents.reshape(gens, len(pres.relators)).T, p)
+    kernel = solver.kernel_basis()
+    for a in (solver.transform, solver.echelon, kernel):
+        a.flags.writeable = False
+    return solver, kernel
+
+
 def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
     """Size of the space lift_search searches, which its budget bounds:
     every entry off the superdiagonal is free, for every generator."""
@@ -513,10 +540,12 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     by position, plus a constant read off by evaluating the relators with
     those entries at 0.  So every partial lift extends by one particular
     solution plus Hom(G, Z/p) (the kernel of that matrix) at each
-    offset-k position, or not at all.  The lifts are returned
-    lexicographically ordered over (generator, free position) and are
-    re-verified in one batched pass over their packed entries (relators,
-    superdiagonal, character count).
+    offset-k position, or not at all.  That matrix's solver and kernel
+    are built once per (presentation, p) and reused by later searches.
+    The lifts are returned lexicographically ordered over (generator,
+    free position) and are re-verified in one batched pass over their
+    packed entries (relators, superdiagonal, character count).  Lifts
+    with an image in common share its ``UniMatrix``.
     """
     p = shape.prime
     n = shape.size - 1
@@ -530,10 +559,7 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
             {"candidates": total})
     gens = pres.generator_count
     positions = shape.positions
-    exponents = np.array(relator_exponent_matrix(pres), dtype=np.int64)
-    solver = gf_core.PrimeSolver(
-        exponents.reshape(gens, len(pres.relators)).T, p)
-    kernel = solver.kernel_basis()
+    solver, kernel = _exponent_solver(pres, p)
 
     lifts = np.zeros((1, gens, len(positions)), dtype=np.int64)
     for i in range(1, n + 1):

@@ -39,6 +39,8 @@ def test_presentation_lifts_quick_run_is_correct():
     # not by a Python walk of every relator per lift
     assert metrics["groups.evaluate_word_calls"]["value"] == 0
     assert metrics["unitriangular.uni_mul_calls"]["value"] == 0
+    # one exponent-sum solver per (presentation, p), not one per search
+    assert metrics["gf_core.solver_builds"]["value"] < 1.0
     # the same lifts as before that change, at this seed
     assert metrics["massey.lifts_found"]["value"] == pytest.approx(716.47,
                                                                   abs=0.005)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from masseykit import cli
 from masseykit import groups as grp
 
@@ -162,6 +164,7 @@ def test_massey_bad_shape_is_input_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_bad_job_values_are_input_errors(tmp_path, capsys):
     paper_g = {"type": "presentation", "generators": 2,
                "relators": [[1, 1, 2, -1, -1, -2]],
@@ -178,7 +181,15 @@ def test_bad_job_values_are_input_errors(tmp_path, capsys):
             ("cohomology", dict(probe, modulus_exponent=0)),
             ("cohomology", dict(probe, orientation=[1])),
             ("cohomology", dict(probe, orientation=[1, 2])),
-            ("cohomology", dict(probe, orientation=None))]
+            ("cohomology", dict(probe, orientation=None)),
+            ("massey", dict(paper_g, presentation={"name": "paper-g"})),
+            ("massey", dict(paper_g, presentation=["paper-g"])),
+            ("massey", dict(paper_g, characters=[[1, None], [1, 0]])),
+            ("massey", dict(finite, characters=[[0, {}], [0, 1]]))]
+    for prime in (0, 1, 4):
+        jobs += [("massey", dict(finite, prime=prime)),
+                 ("massey", dict(paper_g, prime=prime)),
+                 ("cohomology", dict(probe, prime=prime))]
     for k, (command, document) in enumerate(jobs):
         doc = tmp_path / f"job{k}.json"
         doc.write_text(json.dumps(document))
@@ -186,6 +197,8 @@ def test_bad_job_values_are_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error:"), (document, err)
         assert "Traceback" not in err
+        if "prime" in document and document["prime"] != "x":
+            assert err.endswith("is not prime\n"), err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -562,6 +562,47 @@ def test_batched_check_rejects_a_corrupted_last_lift():
     assert broken
 
 
+def test_lifts_share_one_matrix_per_distinct_image():
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]]
+    lifts = msy.lift_search(pres, rows, ut.UniShape(4, 2))
+    images = [m for lift in lifts for m in lift.images]
+    first = {}
+    for m in images:
+        assert first.setdefault(m.entries, m) is m
+    assert len({id(m) for m in images}) == len(first) < len(images)
+
+
+def test_barred_and_unbarred_searches_build_one_solver(monkeypatch):
+    builds = []
+    init = gf.PrimeSolver.__init__
+
+    def counting_init(self, a, p):
+        builds.append(p)
+        init(self, a, p)
+
+    monkeypatch.setattr(gf.PrimeSolver, "__init__", counting_init)
+    # a label of its own keeps earlier searches out of the solver cache
+    base = gr.catalog("u3(3)").known_presentation
+    pres = gr.Presentation(base.generator_count, base.relators,
+                           label="one-solver-test")
+    sh = ut.UniShape(4, 3)
+    for shape in (sh.barred_shape(), sh, sh.barred_shape()):
+        msy.lift_search(pres, [[1, 1], [0, 0], [1, 1]], shape)
+    assert builds == [3]
+
+
+def test_cached_solver_arrays_are_read_only():
+    # exponent sums (3, 1): rank 1 and a one-dimensional kernel mod 2
+    pres = gr.Presentation(2, ((1, 1, 1, 2),))
+    msy.lift_search(pres, [[1, 1], [0, 0]], ut.UniShape(3, 2))
+    solver, kernel = msy._exponent_solver(pres, 2)
+    for a in (solver.transform, solver.echelon, kernel):
+        assert a.size
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 # ---------------------------------------------------------------------------
 # obstruction classes
 # ---------------------------------------------------------------------------
