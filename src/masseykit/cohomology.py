@@ -48,6 +48,7 @@ from .gf_core import (
     nullspace_array,
     rref_array,
     smith_normal_form,
+    solve_array,
 )
 from .groups import (
     FiniteGroup,
@@ -356,8 +357,11 @@ class _Complex:
     By (b), a linear relation among cocycles holds iff it holds on their
     G x S entries, so pivots, kernels and free-variables-zero solutions
     on these rows equal those of the full bar complex.  Every 2-cochain
-    handed to ``d1_solver``, ``cokernel_coords`` or ``h2_solver`` must
-    therefore be a cocycle; ``h2_coordinates`` checks this by (a).
+    handed to ``d1_solver`` or ``cokernel_coords`` must therefore be a
+    cocycle; ``h2_coordinates`` checks this by (a).  The cokernel
+    coordinates then answer every question about degree-2 classes: a
+    cocycle is a coboundary iff its coordinates vanish, and it lies in
+    span(X) + B^2 iff its coordinates lie in the span of X's.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -382,7 +386,7 @@ class _Complex:
         self._z1 = None
         self._z2 = None
         self._h2 = None
-        self._h2_solver = None
+        self._h2_coords = None
 
     @property
     def group(self) -> FiniteGroup:
@@ -521,33 +525,25 @@ class _Complex:
         if self._h2 is None:
             # a z2 row is kept when it leaves the span of the coboundaries
             # and of the rows before it, i.e. when its column is a pivot
-            # of [d1 | z2^T]
-            base = self.d1.shape[1]
-            _, pivots, _ = rref_array(
-                np.concatenate([self.d1, self.gs_entries(self.z2).T],
-                               axis=1), self.p)
-            self._h2 = self.z2[[c - base for c in pivots if c >= base]]
+            # of the z2 rows' cokernel coordinates
+            coords = self.cokernel_coords(self.gs_entries(self.z2).T)
+            _, pivots, _ = rref_array(coords, self.p)
+            self._h2 = self.z2[pivots]
+            self._h2_coords = coords[:, pivots]
         return self._h2
 
-    @property
-    def h2_solver(self) -> PrimeSolver:
-        """Solver for z = sum c_i h2[i] + d(f) on G x S entries: columns
-        are the h2 reps followed by the coboundaries of the 1-cochain
-        basis."""
-        if self._h2_solver is None:
-            self._h2_solver = PrimeSolver(np.concatenate(
-                [self.gs_entries(self.h2).T, self.d1], axis=1), self.p)
-        return self._h2_solver
-
     def h2_coordinates(self, flat: np.ndarray) -> np.ndarray:
-        """Coordinates of a flattened 2-cocycle's class over the h2 basis."""
+        """Coordinates of a flattened 2-cocycle's class over the h2 basis:
+        the unique c with sum c_i coords(h2[i]) = coords(flat)."""
         if not self.is_cocycle(flat):
             raise NotACocycle("vector is not a 2-cocycle")
-        sol = self.h2_solver.solve(self.gs_entries(flat))
+        self.h2  # fills _h2_coords
+        sol = solve_array(self._h2_coords,
+                          self.cokernel_coords(self.gs_entries(flat)), self.p)
         if sol is None:
             raise InternalInconsistency(
                 "a cocycle left the span of the h2 basis and the coboundaries")
-        return sol[: len(self.h2)] % self.p
+        return sol[0]
 
 
 def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
@@ -761,21 +757,24 @@ def _row_space_equal(a_rows, b_rows, p: int, ambient: int) -> bool:
 
 
 def _restriction_matrix(cx: _Complex, h: SubgroupData) -> np.ndarray:
-    """[restrictions of the H^2(G) basis | d1 of H] on the G x S rows of
-    the subgroup H, for the complex cx of G: a cocycle z on H is a
-    restricted class plus a coboundary iff its G x S entries solve it."""
+    """Cokernel coordinates in the complex of the subgroup H of the
+    restrictions of the H^2(G) basis, one column each, for the complex cx
+    of G: a cocycle on H is a restricted class plus a coboundary iff its
+    coordinates lie in their span, and the kernel of the matrix is the
+    kernel of restriction in h2 coordinates."""
     hx = cochain_complex(h.as_group, cx.p)
     members = np.array(h.member_indices, dtype=np.int64)
     rows = cx.col_of[members[hx.nonid]]
     cols = cx.col_of[members[hx.gens]]
     res = cx.h2.reshape(len(cx.h2), cx.ne, cx.ne)[:, rows][:, :, cols]
-    return np.concatenate(
-        [res.reshape(len(res), len(rows) * len(cols)).T, hx.d1], axis=1)
+    return hx.cokernel_coords(res.reshape(len(res), len(rows) * len(cols)).T)
 
 
 def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
     """Exactness of H1(H) -cor-> H1(G) -cup chi-> H2(G) -res-> H2(H)
-    at the two middle spots, for p = 2 and H = ker(chi)."""
+    at the two middle spots, for p = 2 and H = ker(chi).  Classes in
+    H^2(G) are compared in the cokernel coordinates of G's complex, into
+    which the h2 basis maps injectively."""
     if chi.modulus != 2:
         raise NonPrimeModulus("the four-term check runs at p = 2")
     if not chi.is_surjective_mod_p():
@@ -785,40 +784,22 @@ def four_term_exactness(group: FiniteGroup, chi: Character) -> FourTermReport:
     h = kernel_of_character(group, chi)
     hx = cochain_complex(h.as_group, p)
 
-    g_chars = [cx.unflatten(row, 1) for row in cx.z1]
-    chi_vec = cx.char_vec(chi)
-
     # image of the transfer inside the character space
     cor_rows = []
     for row in hx.z1:
         psi = Character(h.as_group, p, hx.unflatten(row, 1).values)
         cor_rows.append(cx.char_vec(corestriction_deg1(psi, h)))
-    # kernel of cup-with-chi on H^1(G), in character-value coordinates
-    cup_coords = []
-    for xi in g_chars:
-        flat = np.multiply.outer(cx.char_vec(xi), chi_vec).ravel() % p
-        cup_coords.append(cx.h2_coordinates(flat))
-    cup_coords = np.array(cup_coords, dtype=np.int64).reshape(
-        len(cup_coords), len(cx.h2))
-    ker_rows = ((nullspace_array(cup_coords.T, p) @ cx.z1) % p
-                if len(cup_coords) else [])
-
+    # classes of xi cup chi, one column per z1 basis vector xi, and the
+    # kernel of cup-with-chi on H^1(G) in character-value coordinates
+    cups = cx.cokernel_coords(cx.cup_gs(cx.z1, cx.char_vec(chi)).T)
+    ker_rows = (nullspace_array(cups, p) @ cx.z1) % p
     exact_h1 = _row_space_equal(cor_rows, ker_rows, p, cx.ne)
 
-    # image of cup-with-chi as a subspace of H^2(G) coordinates
-    im_cup = cup_coords
-
-    # kernel of the restriction H^2(G) -> H^2(H) in the same coordinates
-    ker_res = []
-    if len(cx.h2):
-        # nullspace directions mix in pure coboundaries of H; the leading
-        # coordinate blocks span the kernel subspace
-        for combo in nullspace_array(_restriction_matrix(cx, h), p):
-            c_part = combo[: len(cx.h2)] % p
-            if c_part.any():
-                ker_res.append(c_part)
-
-    exact_h2 = _row_space_equal(im_cup, ker_res, p, len(cx.h2))
+    # the kernel of restriction H^2(G) -> H^2(H), carried from h2
+    # coordinates into cokernel coordinates
+    ker_res = nullspace_array(_restriction_matrix(cx, h), p)
+    ker_res = (ker_res @ cx._h2_coords.T) % p
+    exact_h2 = _row_space_equal(cups.T, ker_res, p, len(cups))
     return FourTermReport(exact_at_h1=exact_h1, exact_at_h2=exact_h2)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPrimeModulus
+from .errors import DimensionMismatch, MasseykitError, NonPrimeModulus
 
 __all__ = [
     "SmithDecomposition",
@@ -61,6 +61,8 @@ def rref_array(a: np.ndarray, p: int):
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise MasseykitError(f"products mod {p} overflow int64")
     work = np.array(a % p, dtype=_pick_dtype(p))
     rows, cols = work.shape
     pivots: list[int] = []
@@ -130,7 +132,7 @@ class PrimeSolver:
 
     Precomputes a transform T with T.A in reduced echelon form, so that
     solvability and particular solutions for many right-hand sides reduce
-    to matrix products.
+    to matrix products, each a sum of ``rows`` products below p^2.
     """
 
     def __init__(self, a: np.ndarray, p: int):
@@ -139,6 +141,9 @@ class PrimeSolver:
         a = np.asarray(a) % p
         self.p = p
         self.rows, self.cols = a.shape
+        if self.rows * (p - 1) ** 2 >= 2 ** 63:
+            raise MasseykitError(
+                f"sums of {self.rows} products mod {p} overflow int64")
         aug = np.concatenate(
             [a, np.eye(self.rows, dtype=np.int64)], axis=1)
         ech, pivots, rank = rref_array(aug, p)

@@ -18,6 +18,7 @@ isomorphism words and the Z^2 walk of the cochain complex.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -450,10 +451,6 @@ def _quaternion8() -> FiniteGroup:
 def _unitriangular_catalog(size: int, p: int) -> FiniteGroup:
     from . import unitriangular as ut
     shape = ut.UniShape(size, p)
-    if shape.group_order() > DEFAULT_CLOSURE_BUDGET:
-        raise BudgetExceeded(
-            f"u{size}({p}) has order {shape.group_order()}, not enumerable "
-            f"within {DEFAULT_CLOSURE_BUDGET}")
     gens = [ut.sigma(shape, i) for i in range(1, size)]
     g = closure_group(gens, label=f"u{size}({p})")
     k = size - 1
@@ -484,29 +481,42 @@ _CATALOG_RE = re.compile(r"^([a-z]+[0-9]*)(?:\((\d+(?:,\d+)*)\))?$")
 
 def catalog(name: str) -> FiniteGroup:
     """Named groups: cyclic(m), product(a,b), dihedral(2m), quaternion8,
-    u3(p), u4(p), elementary(p,k).  Each ships a presentation."""
+    u3(p), u4(p), elementary(p,k).  Each ships a presentation.  A name
+    whose group has more than ``DEFAULT_CLOSURE_BUDGET`` elements raises
+    BudgetExceeded before anything is built."""
     m = _CATALOG_RE.match(name.strip())
     if not m:
         raise UnknownName(f"cannot parse group name {name!r}")
     base, args = m.group(1), m.group(2)
-    args = [int(x) for x in args.split(",")] if args else []
     try:
-        if base == "cyclic" and len(args) == 1 and args[0] >= 1:
-            return _cyclic(args[0])
-        if base == "product" and len(args) == 2 and min(args) >= 1:
-            return _product(*args)
-        if base == "elementary" and len(args) == 2 and args[1] >= 1:
-            return _elementary(*args)
-        if base == "dihedral" and len(args) == 1:
-            return _dihedral(args[0])
-        if base == "quaternion8" and not args:
-            return _quaternion8()
-        if base == "u3" and len(args) == 1 and is_prime(args[0]):
-            return _unitriangular_catalog(3, args[0])
-        if base == "u4" and len(args) == 1 and is_prime(args[0]):
-            return _unitriangular_catalog(4, args[0])
-    except BudgetExceeded:
-        raise
+        args = [int(x) for x in args.split(",")] if args else []
+    except ValueError:  # more digits than int() converts
+        raise UnknownName(f"cannot parse group name {name!r}")
+    arity = {"cyclic": 1, "product": 2, "elementary": 2, "dihedral": 1,
+             "quaternion8": 0, "u3": 1, "u4": 1}
+    if arity.get(base) != len(args):
+        raise UnknownName(f"unknown catalog group {name!r}")
+    # the order from the name alone, with p^k's exponent cut where any
+    # p >= 2 already passes the budget
+    if base == "elementary":
+        order = args[0] ** min(args[1], DEFAULT_CLOSURE_BUDGET.bit_length())
+    else:
+        order = math.prod(args) ** {"u3": 3, "u4": 6}.get(base, 1)
+    if order > DEFAULT_CLOSURE_BUDGET:
+        raise BudgetExceeded(f"{name.strip()} has more than "
+                             f"{DEFAULT_CLOSURE_BUDGET} elements")
+    if base == "cyclic" and args[0] >= 1:
+        return _cyclic(args[0])
+    if base == "product" and min(args) >= 1:
+        return _product(*args)
+    if base == "elementary" and args[1] >= 1:
+        return _elementary(*args)
+    if base == "dihedral":
+        return _dihedral(args[0])
+    if base == "quaternion8":
+        return _quaternion8()
+    if base in ("u3", "u4") and is_prime(args[0]):
+        return _unitriangular_catalog(int(base[1]), args[0])
     raise UnknownName(f"unknown catalog group {name!r}")
 
 

@@ -293,14 +293,14 @@ def _witness(cx, chars, a: dict, zero_value: bool = False
                         {key: cx.unflatten(vec, 1) for key, vec in a.items()})
     if not validate_defining_system(ds, chars):
         raise InternalInconsistency("constructed witness fails validation")
-    if zero_value and cx.d1_solver.solve(_cup_rhs(cx, a, 1, n + 1)) is None:
+    if zero_value and cx.cokernel_coords(_cup_rhs(cx, a, 1, n + 1)).any():
         raise InternalInconsistency("vanishing witness has nonzero value")
     return ds
 
 
 def _status_n2(cx, chars, a) -> MasseyReport:
     stats = {"method": "cup", "solves": 1}
-    vanish = cx.d1_solver.solve(_cup_rhs(cx, a, 1, 3)) is not None
+    vanish = not cx.cokernel_coords(_cup_rhs(cx, a, 1, 3)).any()
     status = MasseyStatus.VANISHES if vanish \
         else MasseyStatus.DEFINED_NOT_VANISHING
     return MasseyReport(status, _witness(cx, chars, a), stats)
@@ -413,11 +413,13 @@ def _relator_values(pres: Presentation, shape: UniShape, packed):
     """
     inverses = _packed_inv(packed, shape)
     for r in pres.relators:
-        acc = np.zeros((packed.shape[0], packed.shape[2]), dtype=np.int64)
-        for x in r:
-            g = abs(x) - 1
-            acc = _packed_mul(acc, packed[:, g] if x > 0 else inverses[:, g],
-                              shape)
+        factors = [packed[:, x - 1] if x > 0 else inverses[:, -x - 1]
+                   for x in r]
+        # the identity's packed entries are zeros
+        acc = factors[0] if r else np.zeros(
+            (packed.shape[0], packed.shape[2]), dtype=np.int64)
+        for factor in factors[1:]:
+            acc = _packed_mul(acc, factor, shape)
         yield acc
 
 
@@ -493,16 +495,13 @@ def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
 
 def _validate_char_rows(pres: Presentation, char_rows, p: int):
     rows = [tuple(int(v) % p for v in row) for row in char_rows]
+    exponents = relator_exponent_matrix(pres)
     for row in rows:
         if len(row) != pres.generator_count:
             raise ValueError("one value per generator required")
-        for r in pres.relators:
-            acc = 0
-            for x in r:
-                acc += row[abs(x) - 1] if x > 0 else -row[abs(x) - 1]
-            if acc % p:
-                raise ValueError(
-                    "character values do not vanish on a relator")
+        if any(sum(v * e for v, e in zip(row, col)) % p
+               for col in zip(*exponents)):
+            raise ValueError("character values do not vanish on a relator")
     return rows
 
 
@@ -715,10 +714,11 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
     hchars = characters_of(h.as_group, p)
     hx = cochain_complex(h.as_group, p)
     res3 = hx.char_vec(restriction(chi3, h))
-    # every solve below has a cup of characters, a cocycle, on its right
-    # side, so the G x S entries of H decide it
-    res_solver = gf_core.PrimeSolver(
-        _restriction_matrix(cochain_complex(group, p), h), p)
+    # every test below reads the cokernel coordinates of a cup of
+    # characters, a cocycle, on H: zero iff the cup is a coboundary, and
+    # annihilated by ``res_ann`` iff it is a restricted class plus one
+    res_ann = gf_core.nullspace_array(
+        _restriction_matrix(cochain_complex(group, p), h).T, p)
 
     cor_cache = {c.values.tobytes(): corestriction_deg1(c, h) for c in hchars}
 
@@ -731,16 +731,16 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
         if cor(phi) != chi2:
             continue
         phi_vec = hx.char_vec(phi)
-        if hx.d1_solver.solve(hx.cup_gs(phi_vec, res3)) is None:
+        if hx.cokernel_coords(hx.cup_gs(phi_vec, res3)).any():
             continue
         for psi in hchars:
             if cor(psi) != chi3:
                 continue
-            pp = hx.cup_gs(phi_vec, hx.char_vec(psi))
-            if vanish_wit is None and hx.d1_solver.solve(pp) is not None:
+            pp = hx.cokernel_coords(hx.cup_gs(phi_vec, hx.char_vec(psi)))
+            if vanish_wit is None and not pp.any():
                 vanish_wit = (tuple(phi.values.tolist()),
                               tuple(psi.values.tolist()))
-            if defined_wit is None and res_solver.solve(pp) is not None:
+            if defined_wit is None and not (res_ann @ pp % p).any():
                 defined_wit = (tuple(phi.values.tolist()),
                                tuple(psi.values.tolist()))
         if defined_wit and vanish_wit:

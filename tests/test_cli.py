@@ -6,6 +6,7 @@ import pytest
 
 from masseykit import cli
 from masseykit import groups as grp
+from masseykit.errors import BudgetExceeded
 
 
 def run(args, tmp_path, name="report.json"):
@@ -211,6 +212,36 @@ def test_usage_errors_exit_1(capsys):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("input error:"), (argv, err)
+
+
+def test_oversized_catalog_names_build_nothing(monkeypatch, capsys):
+    # the order comes from the name, so neither a table nor a primality
+    # test of a large number is started before the budget refuses it
+    def refuse(*args):
+        raise AssertionError("work started past the closure budget")
+
+    monkeypatch.setattr(grp.FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(grp, "is_prime", refuse)
+    big = "1000000000000000000000007"
+    for name in ("cyclic(100000)", f"u3({big})", f"elementary({big},1)",
+                 "elementary(2,1000000000000)", "u4(5)", "dihedral(8194)"):
+        with pytest.raises(BudgetExceeded):
+            grp.catalog(name)
+        assert cli.main(["cohomology", "--group", name]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:"), (name, err)
+        assert "Traceback" not in err
+    # more digits than int() converts
+    assert cli.main(["cohomology", "--group", f"cyclic({'9' * 5000})"]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_prime_past_int64_products_is_an_error(capsys):
+    # (p - 1)^2 >= 2^63: the mod-p arithmetic would wrap around
+    argv = ["cohomology", "--group", "cyclic(3)", "--prime", "4294967311"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err, err
 
 
 def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from masseykit import gf_core as gf
-from masseykit.errors import DimensionMismatch
+from masseykit.errors import DimensionMismatch, MasseykitError
 
 from helpers import bareiss_det
 
@@ -128,6 +128,24 @@ def test_solve_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
+
+def test_moduli_past_int64_products_are_refused():
+    # at p = 4294967311 the products wrap around int64: the solve used to
+    # return an x with A x - b = (478281325, 478281100) mod p
+    p = 4294967311
+    a = [[p - 1, p - 2], [p - 3, p - 5]]
+    with pytest.raises(MasseykitError):
+        gf.PrimeSolver(a, p)
+    with pytest.raises(MasseykitError):
+        gf.rref_array(a, p)
+    # a solver's products are sums over its rows: 2 (p - 1)^2 < 2^63 here
+    p = 2 ** 31 - 1
+    a = np.array([[p - 1, p - 2], [p - 3, p - 5]], dtype=object)
+    x = gf.PrimeSolver(a, p).solve([1, 2])
+    assert ((a @ x.astype(object) - [1, 2]) % p == 0).all()
+    with pytest.raises(MasseykitError):
+        gf.PrimeSolver(np.ones((3, 1), dtype=np.int64), p)
+
 
 def test_snf_identity():
     snf = gf.smith_normal_form([[1, 0], [0, 1]])

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from masseykit import cli
 from masseykit import cohomology as chm
 from masseykit import gf_core as gf
 from masseykit import groups as gr
@@ -767,6 +768,76 @@ def test_fourfold_sweep_exhaustive_elementary8():
         for chi2, chi3 in itertools.product(cs, repeat=2):
             rep = msy.degenerate_fourfold_criterion(g, chi1, chi2, chi3)
             assert rep.agree
+
+
+DEGREE_TWO_PINNED_GROUPS = (
+    "cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(8)",
+    "cyclic(9)", "cyclic(16)", "product(2,2)", "product(2,4)",
+    "product(3,3)", "product(2,8)", "product(4,4)", "product(3,6)",
+    "product(4,8)", "elementary(2,3)", "elementary(2,4)", "elementary(2,5)",
+    "elementary(3,3)", "dihedral(6)", "dihedral(8)", "dihedral(12)",
+    "dihedral(16)", "dihedral(32)", "quaternion8", "u3(2)", "u3(3)")
+
+
+def test_degree_two_class_decisions_are_pinned():
+    # every answer that tests a 2-cocycle against span(X) + B^2: the
+    # fourfold reports with their witnesses on 336 seeded triples over
+    # the sweep groups (all three verdict patterns occur), and on the
+    # catalog groups of order <= 32 the H^2 basis and Bockstein
+    # coordinates at p = 2 and 3 and every four-term report
+    h = hashlib.sha256()
+    rng = random.Random(2023)
+    for name in cli.SWEEP_2GROUPS:
+        g = gr.catalog(name)
+        cs = chars_of(g)
+        for _ in range(24):
+            triple = (rng.choice(cs[1:]), rng.choice(cs), rng.choice(cs))
+            r = msy.degenerate_fourfold_criterion(g, *triple)
+            h.update(repr((name, [c.values.tolist() for c in triple],
+                           r.lhs_defined, r.lhs_vanishes,
+                           r.rhs_defined_witness, r.rhs_vanishing_witness,
+                           r.agree)).encode())
+    for name in DEGREE_TWO_PINNED_GROUPS:
+        g = gr.catalog(name)
+        for p in (2, 3):
+            cx = chm.cochain_complex(g, p)
+            h.update(repr((name, p, cx.h2.shape)).encode() + cx.h2.tobytes())
+            for row in cx.z1:
+                beta = chm.bockstein(chm.character(
+                    g, cx.unflatten(row, 1).values, p))
+                h.update(repr(cx.h2_coordinates(
+                    cx.flatten(beta.representative)).tolist()).encode())
+        for chi in chars_of(g)[1:]:
+            r = chm.four_term_exactness(g, chi)
+            h.update(repr((r.exact_at_h1, r.exact_at_h2)).encode())
+    assert h.hexdigest() == (
+        "3ae24ff8e45171db5f0aa1c9939fc4efbe409e3ce5ebdd67abe6cebee1ff9c35")
+
+
+def test_degree_two_decisions_build_only_d1_solvers(monkeypatch):
+    # class questions read the d1 solver's cokernel coordinates: once G's
+    # complex is built, h2 coordinates need no solver and a fourfold call
+    # builds only the d1 solver of its kernel H
+    g = gr.catalog("dihedral(8)")
+    cx = chm.cochain_complex(g, 2)
+    cx.h2
+    builds = []
+    init = gf.PrimeSolver.__init__
+
+    def counting_init(self, a, p):
+        builds.append(np.shape(a))
+        init(self, a, p)
+
+    monkeypatch.setattr(gf.PrimeSolver, "__init__", counting_init)
+    assert cx.h2_coordinates(cx.h2[0]).tolist()[0] == 1
+    assert builds == []
+    cs = chars_of(g)
+    for chi1, chi2, chi3 in [(cs[1], cs[2], cs[3]), (cs[2], cs[0], cs[1])]:
+        builds.clear()
+        rep = msy.degenerate_fourfold_criterion(g, chi1, chi2, chi3)
+        assert rep.agree
+        h = gr.kernel_of_character(g, chi1)
+        assert builds == [chm.cochain_complex(h.as_group, 2).d1.shape]
 
 
 # ---------------------------------------------------------------------------
