@@ -395,8 +395,10 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
         raise InputError("cohomology jobs need a finite group")
     prime = _job_prime(job)
     report = _envelope("cohomology", job)
-    h1 = chm.h_basis(group, 1, prime)
+    # degree 2 first: its order cap then refuses a large group before
+    # the degree-1 solver is built
     h2 = chm.h_basis(group, 2, prime)
+    h1 = chm.h_basis(group, 1, prime)
     cx = chm.cochain_complex(group, prime)
     verdicts = {"h1_dim": len(h1), "h2_dim": len(h2)}
     witnesses = {

@@ -5,13 +5,11 @@ the package: row reduction, nullspaces, single solves, and a solver
 that reuses one echelon transform across many right-hand sides.
 Integer matrices get a Smith normal form with unimodular transforms in
 exact (arbitrary-precision) arithmetic; that decomposition backs
-abelianization invariants, integral kernels, and solvability of linear
-congruences mod prime powers.
+abelianization invariants, integral kernels and integral solves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +26,6 @@ __all__ = [
     "PrimeSolver",
     "integer_kernel_basis",
     "solve_integer",
-    "solve_congruence",
     "is_prime",
 ]
 
@@ -169,7 +166,7 @@ class PrimeSolver:
 
 
 # ---------------------------------------------------------------------------
-# integers: Smith normal form and congruences
+# integers: Smith normal form
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -322,34 +319,3 @@ def solve_integer(matrix, b) -> Optional[list[int]]:
         elif c[i]:
             return None
     return [sum(snf.right[i][k] * y[k] for k in range(m)) for i in range(m)]
-
-
-def solve_congruence(matrix, b, modulus: int) -> Optional[list[int]]:
-    """One solution of A.x = b (mod modulus), or None.
-
-    Mixed-modulus conditions can be encoded by pre-scaling rows: a row
-    meant mod p^j inside a system mod p^n is multiplied through by
-    p^(n-j) first.
-    """
-    snf = smith_normal_form(matrix)
-    n = len(snf.left)
-    m = len(snf.right)
-    b = [int(x) for x in b]
-    if len(b) != n:
-        raise DimensionMismatch("right-hand side length != row count")
-    c = [sum(snf.left[i][k] * b[k] for k in range(n)) % modulus for i in range(n)]
-    y = [0] * m
-    for i in range(n):
-        d = snf.diag[i] if i < snf.rank else 0
-        if d == 0:
-            if c[i] % modulus:
-                return None
-            continue
-        g = math.gcd(d, modulus)
-        if c[i] % g:
-            return None
-        md = modulus // g
-        y[i] = (c[i] // g) * pow((d // g) % md, -1, md) % md if md > 1 else 0
-    return [sum(snf.right[i][k] * y[k] for k in range(m)) % modulus
-            for i in range(m)]
-

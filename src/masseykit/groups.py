@@ -31,7 +31,7 @@ from .errors import (
     NotSurjective,
     UnknownName,
 )
-from .gf_core import is_prime, smith_normal_form, solve_congruence
+from .gf_core import is_prime, smith_normal_form, solve_array
 
 __all__ = [
     "Word",
@@ -59,8 +59,6 @@ Word = tuple[int, ...]
 
 DEFAULT_CLOSURE_BUDGET = 4096
 SUBGROUP_ORDER_LIMIT = 64
-# entries per block of the associativity check (2 MiB per int64 block)
-_ASSOCIATIVITY_BLOCK = 2 ** 18
 
 
 def _check_word(w: Sequence[int]) -> Word:
@@ -131,25 +129,31 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("table has no two-sided identity")
-        # (a*b)*c against a*(b*c), over blocks of rows a so that no
-        # order^3 array is built
-        block = max(1, _ASSOCIATIVITY_BLOCK // (n * n))
-        for a0 in range(0, n, block):
-            rows = mul[a0:a0 + block]
-            if not np.array_equal(mul[rows], rows[:, mul]):
+        mul.setflags(write=False)
+        self.order = n
+        self.mul = mul
+        self.identity = identity
+        # Light's test: the a with (xa)y = x(ay) for all x, y contain e and
+        # are closed under products, and the greedy sequence reaches every
+        # element as a product e s_1 ... s_k, so checking its members
+        # decides associativity
+        gens: list[int] = []
+        reached = {identity}
+        while len(reached) < n:
+            gens.append(next(i for i in range(n) if i not in reached))
+            reached = _generated_members(self, gens)
+        for s in gens:
+            if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
                 raise ValueError("table is not associative")
+        self._gens = tuple(gens)
         inv = np.full(n, -1, dtype=np.int64)
         for a in range(n):
             hits = np.nonzero(mul[a] == identity)[0]
             if hits.size != 1 or mul[hits[0], a] != identity:
                 raise ValueError("table has no unique two-sided inverse")
             inv[a] = hits[0]
-        mul.setflags(write=False)
         inv.setflags(write=False)
-        self.order = n
-        self.mul = mul
         self.inv = inv
-        self.identity = identity
         self.element_names = tuple(names) if names else tuple(
             f"g{i}" for i in range(n))
         self.label = label or "group"
@@ -469,11 +473,8 @@ def _unitriangular_catalog(size: int, p: int) -> FiniteGroup:
         rel.append(free_reduce(w + inverse_word(commutator_word((1,), y23))))
         for i in range(k):
             rel.append(commutator_word(w, (i + 1,)))
-    pres = Presentation(k, tuple(rel), label=f"u{size}({p})")
-    return FiniteGroup(np.asarray(g.mul), names=g.element_names,
-                       label=g.label, known_presentation=pres,
-                       generator_map=g.generator_map, elements=g.elements,
-                       element_words=g.element_words)
+    g.known_presentation = Presentation(k, tuple(rel), label=f"u{size}({p})")
+    return g
 
 
 _CATALOG_RE = re.compile(r"^([a-z]+[0-9]*)(?:\((\d+(?:,\d+)*)\))?$")
@@ -561,27 +562,30 @@ class SubgroupData:
 def subgroup_from_members(parent: FiniteGroup,
                           members: Sequence[int]) -> SubgroupData:
     members = tuple(sorted(set(int(x) for x in members)))
-    mem_set = set(members)
-    if parent.identity not in mem_set:
+    m = np.array(members, dtype=np.int64)
+    inside = np.zeros(parent.order, dtype=bool)
+    inside[m] = True
+    if not inside[parent.identity]:
         raise ValueError("subgroup must contain the identity")
-    for a in members:
-        if parent.inv_idx(a) not in mem_set:
-            raise ValueError("member set not closed under inverse")
-        for b in members:
-            if parent.mul_idx(a, b) not in mem_set:
-                raise ValueError("member set not closed under product")
-    pos = {m: i for i, m in enumerate(members)}
-    table = [[pos[parent.mul_idx(a, b)] for b in members] for a in members]
-    sub = FiniteGroup(table, names=[parent.element_names[m] for m in members],
+    if not inside[parent.inv[m]].all():
+        raise ValueError("member set not closed under inverse")
+    products = parent.mul[np.ix_(m, m)]
+    if not inside[products].all():
+        raise ValueError("member set not closed under product")
+    pos = {x: i for i, x in enumerate(members)}
+    sub_index = np.zeros(parent.order, dtype=np.int64)
+    sub_index[m] = np.arange(len(members))
+    sub = FiniteGroup(sub_index[products],
+                      names=[parent.element_names[x] for x in members],
                       label=f"{parent.label}-sub{len(members)}")
-    covered = set()
+    covered = np.zeros(parent.order, dtype=bool)
     transversal = []
     for x in [parent.identity] + [i for i in range(parent.order)
                                   if i != parent.identity]:
-        if x in covered:
+        if covered[x]:
             continue
         transversal.append(x)
-        covered.update(parent.mul_idx(x, h) for h in members)
+        covered[parent.mul[x, m]] = True
     return SubgroupData(parent, members, tuple(transversal), sub, pos)
 
 
@@ -705,11 +709,15 @@ def hom_lift_to_Zmod(source, chi_values: Sequence[int], prime: int,
                      exponent: int) -> Optional[tuple[int, ...]]:
     """Lift a character to Z/p through Z/p^exponent, if possible.
 
-    ``source`` is a Presentation or AbelianStructure.  Returns the lifted
-    per-generator values mod p^exponent, or None when no lift exists.
-    The decision runs through the abelianization coordinates: the lifted
-    functional must kill d_i times each torsion coordinate mod p^exponent
-    and reduce to the given values mod p on every generator.
+    ``source`` is a Presentation or AbelianStructure, with abelianization
+    Z^free_rank + sum Z/d_i.  One solve mod p gives the character's values
+    on the free factors and on the torsion factors with p | d_i (it
+    vanishes on the others); NotHomomorphism when there is none.  A
+    homomorphism to Z/p^n sends Z/d_i into the multiples of
+    p^n / gcd(d_i, p^n), so the character lifts iff it vanishes on every
+    factor with p^n not dividing d_i.  Returns the per-generator values
+    mod p^exponent of the canonical lift, which takes the character's
+    values in 0..p-1 on the factors, or None when no lift exists.
     """
     ab = abelianization(source) if isinstance(source, Presentation) else source
     if not is_prime(prime):
@@ -717,44 +725,26 @@ def hom_lift_to_Zmod(source, chi_values: Sequence[int], prime: int,
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     n_tor = len(ab.torsion)
-    n_free = ab.free_rank
     gens = len(ab.generator_images)
     chi = [int(c) % prime for c in chi_values]
     if len(chi) != gens:
         raise ValueError("one character value per generator required")
-    def build_system(n: int):
-        m = prime ** n
-        scale = prime ** (n - 1)
-        rows, rhs = [], []
-        for i in range(n_tor):
-            row = [0] * (n_tor + n_free)
-            row[i] = ab.torsion[i]
-            rows.append(row)
-            rhs.append(0)
-        for j, (tor, free) in enumerate(ab.generator_images):
-            row = [scale * t for t in tor] + [scale * f for f in free]
-            rows.append(row)
-            rhs.append(scale * chi[j])
-        return rows, rhs, m
-
-    if n_tor + n_free == 0 or gens == 0:
-        if any(chi):
-            raise NotHomomorphism("nonzero values on a trivial group")
-        return tuple(0 for _ in chi)
-    base_rows, base_rhs, _ = build_system(1)
-    if solve_congruence(base_rows, base_rhs, prime) is None:
+    images = [tor + free for tor, free in ab.generator_images]
+    factors = [i for i, d in enumerate(ab.torsion) if d % prime == 0]
+    factors += range(n_tor, n_tor + ab.free_rank)
+    a = np.array([[img[i] % prime for i in factors] for img in images],
+                 dtype=np.int64).reshape(gens, len(factors))
+    sol = solve_array(a, np.array(chi, dtype=np.int64), prime)
+    if sol is None:
         raise NotHomomorphism(
             "input values are not a character of the abelianization")
-    rows, rhs, m = build_system(exponent)
-    sol = solve_congruence(rows, rhs, m)
-    if sol is None:
+    values = sol[0].tolist()
+    m = prime ** exponent
+    if any(v and i < n_tor and ab.torsion[i] % m
+           for i, v in zip(factors, values)):
         return None
-    lifted = []
-    for (tor, free) in ab.generator_images:
-        val = sum(t * s for t, s in zip(tor, sol[:n_tor]))
-        val += sum(f * s for f, s in zip(free, sol[n_tor:]))
-        lifted.append(val % m)
-    return tuple(lifted)
+    return tuple(sum(img[i] * v for i, v in zip(factors, values)) % m
+                 for img in images)
 
 
 # ---------------------------------------------------------------------------
@@ -844,14 +834,10 @@ def reidemeister_schreier(p: Presentation, f: GroupHom) -> RSResult:
 # ---------------------------------------------------------------------------
 
 def _generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy generating set: each generator is the smallest element
-    outside the subgroup generated by the ones before it."""
-    gens: list[int] = []
-    reached = frozenset([g.identity])
-    while len(reached) < g.order:
-        gens.append(next(i for i in range(g.order) if i not in reached))
-        reached = _generated_members(g, gens)
-    return gens
+    """Greedy generating set, found when the table was validated: each
+    generator is the smallest element outside the subgroup generated by
+    the ones before it."""
+    return list(g._gens)
 
 
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:

@@ -80,6 +80,27 @@ def certify_max_p_quotient(pres: gr.Presentation, p: int, exponent: int) -> bool
     return ab.free_rank == 0 and all(d % p for d in ab.torsion)
 
 
+def reference_table_check(mul_table) -> None:
+    """Validate a square multiplication table with entries in range the
+    brute-force way: a two-sided identity, (ab)c = a(bc) on all order^3
+    triples, and unique two-sided inverses, in that order.  Raises
+    ValueError with the message ``FiniteGroup`` gives; reference for
+    Light's test."""
+    mul = np.array(mul_table, dtype=np.int64)
+    n = mul.shape[0]
+    idx = np.arange(n)
+    identity = next((e for e in range(n) if np.array_equal(mul[e], idx)
+                     and np.array_equal(mul[:, e], idx)), None)
+    if identity is None:
+        raise ValueError("table has no two-sided identity")
+    if not np.array_equal(mul[mul], mul[:, mul]):
+        raise ValueError("table is not associative")
+    for a in range(n):
+        hits = np.nonzero(mul[a] == identity)[0]
+        if hits.size != 1 or mul[hits[0], a] != identity:
+            raise ValueError("table has no unique two-sided inverse")
+
+
 def from_dense(shape: ut.UniShape, m) -> ut.UniMatrix:
     """The unitriangular matrix with the entries of a dense matrix m."""
     return ut.UniMatrix(shape, tuple(m[i - 1][j - 1] % shape.prime

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -259,6 +262,24 @@ def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):
     assert cli.main(["massey", "--input", str(doc)]) == 2
     assert time.perf_counter() - start < 2.0
     assert str(2 ** 24) in capsys.readouterr().err
+
+
+def test_cohomology_refuses_large_groups_before_degree_one():
+    # degree 2's order cap must refuse the job before the degree-1
+    # solver is built, interpreter start included
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in ("cyclic(1024)", "u4(3)"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "masseykit.cli", "cohomology",
+             "--group", name], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert time.perf_counter() - start < 3.0, name
+        assert proc.returncode == 2, proc.stderr
+        assert "capped at order 32" in proc.stderr
 
 
 Q44_N3 = [[0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0]] * 3

@@ -203,11 +203,3 @@ def test_integer_kernel_and_solve():
         assert all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in a)
     assert gf.solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
     assert gf.solve_integer([[2]], [3]) is None
-
-
-def test_solve_congruence():
-    sol = gf.solve_congruence([[2, 0], [0, 3]], [0, 1], 4)
-    assert sol is not None
-    assert (2 * sol[0]) % 4 == 0 and (3 * sol[1]) % 4 == 1
-    assert gf.solve_congruence([[2]], [1], 4) is None
-

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,7 @@ from masseykit.errors import (
     UnknownName,
 )
 
-from helpers import certify_max_p_quotient
+from helpers import certify_max_p_quotient, reference_table_check
 
 EXAMPLE_RELATOR = (1, 1, 2, -1, -1, -2)
 
@@ -157,6 +158,53 @@ def test_associativity_check_stays_small_and_still_rejects():
     bad[a, x], bad[a, y] = bad[a, y], bad[a, x]
     with pytest.raises(ValueError, match="not associative"):
         gr.FiniteGroup(bad)
+
+
+# every catalog name of order <= 12 (several give the same table)
+SMALL_CATALOG = (
+    [f"cyclic({m})" for m in range(1, 13)]
+    + [f"product({a},{b})" for a in range(2, 7) for b in range(a, 7)
+       if a * b <= 12]
+    + ["elementary(2,2)", "elementary(2,3)", "elementary(3,2)"]
+    + [f"dihedral({o})" for o in range(2, 13, 2)]
+    + ["quaternion8", "u3(2)"])
+
+
+def test_light_test_matches_cubic_check_on_single_entry_changes():
+    # every single-entry change of every small catalog table: the table
+    # is refused exactly when the all-triples check refuses it, with the
+    # same message
+    tables = {}
+    for name in SMALL_CATALOG:
+        mul = gr.catalog(name).mul
+        tables.setdefault(mul.tobytes(), mul)
+    for mul in tables.values():
+        n = len(mul)
+        for a, b, v in itertools.product(range(n), repeat=3):
+            if v == mul[a, b]:
+                continue
+            bad = mul.copy()
+            bad[a, b] = v
+            try:
+                reference_table_check(bad)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                gr.FiniteGroup(bad)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (bad.tolist(), got, want)
+
+
+def test_large_catalog_tables_build_fast():
+    # the all-triples check took 6.8 s on cyclic(1024) and 3.2 s on u4(3)
+    for name in ("cyclic(1024)", "u4(3)"):
+        start = time.perf_counter()
+        g = gr.catalog(name)
+        assert time.perf_counter() - start < 1.0, name
+        assert g.order in (1024, 729)
 
 
 def test_grouphom_validation():
@@ -349,6 +397,28 @@ def test_cayley_graph_traversals_are_pinned():
                              "5e266aeb8744cfb50405c051c907b2b7")
 
 
+def test_subgroup_from_members_rejects_non_subgroups():
+    z4 = gr.catalog("cyclic(4)")
+    with pytest.raises(ValueError, match="contain the identity"):
+        gr.subgroup_from_members(z4, [1, 3])
+    # {e, x}: x^-1 = x^3 is missing
+    with pytest.raises(ValueError, match="not closed under inverse"):
+        gr.subgroup_from_members(z4, [0, 1])
+    # {e, x, x^3} holds every inverse but not x^2
+    with pytest.raises(ValueError, match="not closed under product"):
+        gr.subgroup_from_members(z4, [0, 1, 3])
+    sub = gr.subgroup_from_members(z4, [2, 0])
+    assert sub.member_indices == (0, 2)
+    assert sub.transversal == (0, 1)
+    # every sub-table against the entry-by-entry one
+    g = gr.catalog("dihedral(12)")
+    for sub in gr.enumerate_subgroups(g):
+        members = sub.member_indices
+        assert sub.as_group.mul.tolist() == [
+            [sub.parent_to_sub[g.mul_idx(a, b)] for b in members]
+            for a in members]
+
+
 def test_subgroup_normality():
     q8 = gr.catalog("quaternion8")
     assert all(s.is_normal() for s in gr.enumerate_subgroups(q8))
@@ -425,6 +495,55 @@ def test_hom_lift_rejects_non_character():
     pres = gr.Presentation(1, ((1, 1, 1),))
     with pytest.raises(NotHomomorphism):
         gr.hom_lift_to_Zmod(pres, (1,), 2, 1)
+
+
+def _exponent_sums(pres):
+    return [[sum((x > 0) - (x < 0) for x in r if abs(x) == k + 1)
+             for k in range(pres.generator_count)] for r in pres.relators]
+
+
+def test_hom_lift_matches_brute_force():
+    # every character of seeded presentations against every assignment
+    # of generator values mod p^n: into an abelian target a relator
+    # dies iff its exponent sums pair to zero with the values
+    rng = random.Random(7)
+    presentations = [gr.Presentation(0, ())]
+    for _ in range(40):
+        gens = rng.randint(1, 2)
+        letters = [x for k in range(1, gens + 1) for x in (k, -k)]
+        rels = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                rels.append((rng.choice(letters),) * rng.randint(1, 9))
+            else:
+                rels.append(tuple(rng.choice(letters)
+                                  for _ in range(rng.randint(1, 8))))
+        presentations.append(gr.Presentation(gens, tuple(rels)))
+    for pres in presentations:
+        sums = _exponent_sums(pres)
+        g = pres.generator_count
+
+        def kills(values, m):
+            return all(sum(e * v for e, v in zip(row, values)) % m == 0
+                       for row in sums)
+
+        for p in (2, 3):
+            for chi in itertools.product(range(p), repeat=g):
+                for n in (1, 2, 3):
+                    m = p ** n
+                    lifts = [vals for vals in itertools.product(range(m),
+                                                                repeat=g)
+                             if kills(vals, m) and all(
+                                 v % p == c for v, c in zip(vals, chi))]
+                    if not kills(chi, p):
+                        with pytest.raises(NotHomomorphism):
+                            gr.hom_lift_to_Zmod(pres, chi, p, n)
+                        continue
+                    got = gr.hom_lift_to_Zmod(pres, chi, p, n)
+                    assert (got is None) == (not lifts), (pres, chi, p, n)
+                    if got is not None:
+                        assert tuple(got) in lifts, (pres, chi, p, n, got)
+    assert gr.hom_lift_to_Zmod(gr.Presentation(0, ()), (), 2, 3) == ()
 
 
 # ---------------------------------------------------------------------------
