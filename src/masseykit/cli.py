@@ -132,12 +132,24 @@ def _load_job(args) -> dict:
     return job
 
 
+def _is_int(value) -> bool:
+    # a JSON integer: Python's bool is an int, JSON's true is not
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _int_rows(value) -> bool:
+    return isinstance(value, list) and all(_int_list(r) for r in value)
+
+
 def _job_int(job: dict, key: str, default: int) -> int:
     value = job.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if not _is_int(value):
         raise InputError(f"{key!r} must be an integer, not {value!r}")
+    return value
 
 
 def _job_prime(job: dict) -> int:
@@ -158,12 +170,15 @@ def _job_presentation(job: dict) -> Optional[grp.Presentation]:
                              f"known: {sorted(PRESENTATION_SHORTCUTS)}")
         return PRESENTATION_SHORTCUTS[name]()
     if job.get("type") == "presentation" or "relators" in job:
+        relators = job.get("relators", [])
+        if not _int_rows(relators):
+            raise InputError("'relators' must be a list of integer lists")
         try:
             return grp.Presentation(
-                int(job["generators"]),
-                tuple(tuple(r) for r in job.get("relators", [])),
+                _job_int(job, "generators", None),
+                tuple(tuple(r) for r in relators),
                 label=str(job.get("label", "")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad presentation document: {exc}")
     return None
 
@@ -175,6 +190,8 @@ def _job_group(job: dict) -> Optional[grp.FiniteGroup]:
         except UnknownName as exc:
             raise InputError(str(exc))
     if "mul_table" in job:
+        if not _int_rows(job["mul_table"]):
+            raise InputError("'mul_table' must be a list of integer lists")
         try:
             return grp.FiniteGroup(job["mul_table"],
                                    label=str(job.get("label", "table-group")))
@@ -187,9 +204,7 @@ def _job_characters(job: dict):
     chars = job.get("characters")
     if chars is None:
         raise InputError("the job document needs a 'characters' list")
-    if not isinstance(chars, list) or not all(
-            isinstance(c, list) and all(isinstance(v, int) for v in c)
-            for c in chars):
+    if not _int_rows(chars):
         raise InputError("'characters' must be a list of integer lists")
     return chars
 
@@ -426,9 +441,11 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
         n_max = _job_int(job, "modulus_exponent", 1)
         if n_max < 1:
             raise InputError("'modulus_exponent' must be at least 1")
+        if not _int_list(job["orientation"]):
+            raise InputError("'orientation' must be a list of integers")
         try:
             theta = chm.Orientation(group, prime ** n_max, job["orientation"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad orientation: {exc}")
         reports = chm.formal_h90_check(group, theta, n_max)
         verdicts["formal_h90"] = [

@@ -4,8 +4,9 @@ Prime fields are handled on numpy integer arrays, the one mod-p API of
 the package: row reduction, nullspaces, single solves, and a solver
 that reuses one echelon transform across many right-hand sides.
 Integer matrices get a Smith normal form with unimodular transforms in
-exact (arbitrary-precision) arithmetic; that decomposition backs
-abelianization invariants, integral kernels and integral solves.
+exact (arbitrary-precision) arithmetic; its diagonal and transforms give
+abelianization invariants and its diagonal alone decides the exactness
+of the integral resolution over U(3, F_2).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "nullspace_array",
     "solve_array",
     "PrimeSolver",
-    "integer_kernel_basis",
-    "solve_integer",
     "is_prime",
 ]
 
@@ -287,35 +286,3 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         right=tuple(tuple(row) for row in v),
         source=source,
     )
-
-
-def integer_kernel_basis(matrix) -> list[list[int]]:
-    """Basis of {x in Z^cols : A.x = 0} as a direct summand of Z^cols."""
-    snf = smith_normal_form(matrix)
-    m = len(snf.right)
-    cols = []
-    for j in range(m):
-        if j >= snf.rank or snf.diag[j] == 0:
-            cols.append([snf.right[i][j] for i in range(m)])
-    return cols
-
-
-def solve_integer(matrix, b) -> Optional[list[int]]:
-    """One integral solution of A.x = b, or None."""
-    snf = smith_normal_form(matrix)
-    n = len(snf.left)
-    m = len(snf.right)
-    b = [int(x) for x in b]
-    if len(b) != n:
-        raise DimensionMismatch("right-hand side length != row count")
-    c = [sum(snf.left[i][k] * b[k] for k in range(n)) for i in range(n)]
-    y = [0] * m
-    for i in range(n):
-        if i < snf.rank:
-            d = snf.diag[i]
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return [sum(snf.right[i][k] * y[k] for k in range(m)) for i in range(m)]

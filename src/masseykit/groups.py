@@ -18,6 +18,7 @@ isomorphism words and the Z^2 walk of the cochain complex.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -344,69 +345,45 @@ def evaluate_word(w: Sequence[int], images, group: FiniteGroup | None = None):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _cyclic(m: int) -> FiniteGroup:
-    table = [[(i + j) % m for j in range(m)] for i in range(m)]
-    pres = Presentation(1, ((1,) * m,), label=f"cyclic({m})")
-    return FiniteGroup(
-        table, names=[f"x{i}" if i else "e" for i in range(m)],
-        label=f"cyclic({m})", known_presentation=pres,
-        generator_map=[1 % m], element_words=[(1,) * i for i in range(m)])
-
-
-def _product(a: int, b: int) -> FiniteGroup:
-    pairs = [(i, j) for i in range(a) for j in range(b)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    table = [[idx[((i1 + i2) % a, (j1 + j2) % b)] for (i2, j2) in pairs]
-             for (i1, j1) in pairs]
-    rel = [(1,) * a, (2,) * b, commutator_word((1,), (2,))]
-    pres = Presentation(2, tuple(rel), label=f"product({a},{b})")
-    words = [(1,) * i + (2,) * j for (i, j) in pairs]
-    return FiniteGroup(
-        table, names=[f"({i},{j})" for (i, j) in pairs],
-        label=f"product({a},{b})", known_presentation=pres,
-        generator_map=[idx[(1 % a, 0)], idx[(0, 1 % b)]],
-        elements=pairs, element_words=words)
-
-
-def _elementary(p: int, k: int) -> FiniteGroup:
-    if not is_prime(p):
-        raise UnknownName(f"elementary({p},{k}): {p} is not prime")
-    import itertools
-    tuples = list(itertools.product(range(p), repeat=k))
-    idx = {t: i for i, t in enumerate(tuples)}
-    table = [[idx[tuple((x + y) % p for x, y in zip(t1, t2))]
-              for t2 in tuples] for t1 in tuples]
-    rel = [(i + 1,) * p for i in range(k)]
+def _abelian(moduli: Sequence[int], label: str, name: Callable,
+             keep_elements: bool = True) -> FiniteGroup:
+    """Z/m_1 x ... x Z/m_k on the digit tuples in ``itertools.product``
+    order, so an element's index is its mixed-radix value, first digit
+    most significant.  Presented by each generator's power and the
+    commutators of the pairs; ``name`` labels an element from its digits."""
+    # one factor Z/m at a time: (a, x), a in the product so far, sits at
+    # index a m + x, and (a, x)(b, y) = (ab, x + y)
+    table = np.zeros((1, 1), dtype=np.int64)
+    for m in moduli:
+        n, r = len(table), np.arange(m)
+        table = (table[:, None, :, None] * m
+                 + ((r[:, None] + r) % m)[:, None, :]).reshape(n * m, n * m)
+    k = len(moduli)
+    gen_map = [math.prod(moduli[i + 1:]) * (1 % m)
+               for i, m in enumerate(moduli)]
+    rel = [(i + 1,) * m for i, m in enumerate(moduli)]
     rel += [commutator_word((i + 1,), (j + 1,))
             for i in range(k) for j in range(i + 1, k)]
-    pres = Presentation(k, tuple(rel), label=f"elementary({p},{k})")
-    gen_map = [idx[tuple(int(j == i) for j in range(k))] for i in range(k)]
-    words = [sum(((i + 1,) * t[i] for i in range(k)), ())
-             for t in tuples]
+    tuples = list(itertools.product(*map(range, moduli)))
+    words = [sum(((i + 1,) * t for i, t in enumerate(digits)), ())
+             for digits in tuples]
     return FiniteGroup(
-        table, names=[str(t) for t in tuples],
-        label=f"elementary({p},{k})", known_presentation=pres,
-        generator_map=gen_map, elements=tuples, element_words=words)
+        table, names=[name(t) for t in tuples], label=label,
+        known_presentation=Presentation(k, tuple(rel), label=label),
+        generator_map=gen_map, elements=tuples if keep_elements else None,
+        element_words=words)
 
 
 def _dihedral(order: int) -> FiniteGroup:
     if order % 2 or order < 2:
         raise UnknownName(f"dihedral({order}): order must be even")
     m = order // 2
-    # indices: r^i at i, s*r^i at m+i
-
-    def mul(x, y):
-        i, si = x % m, x // m
-        j, sj = y % m, y // m
-        if si == 0 and sj == 0:
-            return (i + j) % m
-        if si == 0 and sj == 1:
-            return m + (j - i) % m
-        if si == 1 and sj == 0:
-            return m + (i + j) % m
-        return (j - i) % m
-
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
+    # indices: r^i at i, s*r^i at m+i; since r^i s = s r^-i, the
+    # rotation of a product is j - i when the right factor carries s
+    s, r = np.divmod(np.arange(order), m)
+    table = ((s[:, None] ^ s[None, :]) * m
+             + np.where(s[None, :] == 1, r[None, :] - r[:, None],
+                        r[:, None] + r[None, :]) % m)
     rel = ((1,) * m, (2, 2), (2, 1, -2, 1))
     pres = Presentation(2, rel, label=f"dihedral({order})")
     names = [f"r{i}" if i else "e" for i in range(m)]
@@ -507,11 +484,17 @@ def catalog(name: str) -> FiniteGroup:
         raise BudgetExceeded(f"{name.strip()} has more than "
                              f"{DEFAULT_CLOSURE_BUDGET} elements")
     if base == "cyclic" and args[0] >= 1:
-        return _cyclic(args[0])
+        return _abelian(args, f"cyclic({args[0]})",
+                        lambda t: f"x{t[0]}" if t[0] else "e",
+                        keep_elements=False)
     if base == "product" and min(args) >= 1:
-        return _product(*args)
+        return _abelian(args, "product({},{})".format(*args),
+                        lambda t: "({},{})".format(*t))
     if base == "elementary" and args[1] >= 1:
-        return _elementary(*args)
+        p, k = args
+        if not is_prime(p):
+            raise UnknownName(f"elementary({p},{k}): {p} is not prime")
+        return _abelian([p] * k, f"elementary({p},{k})", str)
     if base == "dihedral":
         return _dihedral(args[0])
     if base == "quaternion8":
@@ -860,7 +843,6 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     candidates = [[i for i in range(b.order) if b_orders[i] == o]
                   for o in orders_a]
 
-    import itertools
     for choice in itertools.product(*candidates):
         fmap = np.empty(a.order, dtype=np.int64)
         for x, w in words.items():

@@ -10,14 +10,13 @@ entries in the fixed order (1,2), (1,3), ..., (size-1, size).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInconsistency, ShapeMismatch
-from .gf_core import integer_kernel_basis, is_prime, solve_integer
+from .gf_core import is_prime, smith_normal_form
 from .groups import closure_group
 
 __all__ = [
@@ -241,33 +240,44 @@ def commutator(a: UniMatrix, b: UniMatrix) -> UniMatrix:
     return uni_mul(uni_mul(a, b), uni_mul(uni_inv(a), uni_inv(b)))
 
 
-def enumerate_group(shape: UniShape,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> list[UniMatrix]:
-    """All elements in lexicographic order of their entry tuples."""
+def _packed_group(shape: UniShape, budget: int) -> np.ndarray:
+    """All elements as packed entry rows, in lexicographic order."""
     order = shape.group_order()
     if order > budget:
         raise BudgetExceeded(
             f"group order {order} exceeds budget {budget}",
             {"order": order})
-    return [UniMatrix(shape, entries)
-            for entries in itertools.product(range(shape.prime),
-                                             repeat=len(shape.positions))]
+    k = len(shape.positions)
+    return np.indices((shape.prime,) * k).reshape(k, order).T
+
+
+def _unpack(shape: UniShape, rows: np.ndarray) -> list[UniMatrix]:
+    return [UniMatrix(shape, tuple(r)) for r in rows.tolist()]
+
+
+def enumerate_group(shape: UniShape,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> list[UniMatrix]:
+    """All elements in lexicographic order of their entry tuples."""
+    return _unpack(shape, _packed_group(shape, budget))
 
 
 def centralizer_of(g: UniMatrix,
                    budget: int = DEFAULT_ENUM_BUDGET) -> list[UniMatrix]:
-    return [x for x in enumerate_group(g.shape, budget)
-            if uni_mul(x, g) == uni_mul(g, x)]
+    x = _packed_group(g.shape, budget)
+    a = np.array(g.entries, dtype=np.int64)
+    commute = (_packed_mul(x, a, g.shape)
+               == _packed_mul(a, x, g.shape)).all(axis=1)
+    return _unpack(g.shape, x[commute])
 
 
 def conjugacy_class_of(g: UniMatrix,
                        budget: int = DEFAULT_ENUM_BUDGET) -> list[UniMatrix]:
-    seen = {}
-    for x in enumerate_group(g.shape, budget):
-        y = uni_mul(uni_mul(x, g), uni_inv(x))
-        if y.entries not in seen:
-            seen[y.entries] = y
-    return [seen[e] for e in sorted(seen)]
+    """The class in lexicographic order of the entry tuples."""
+    x = _packed_group(g.shape, budget)
+    a = np.array(g.entries, dtype=np.int64)
+    y = _packed_mul(_packed_mul(x, a, g.shape), _packed_inv(x, g.shape),
+                    g.shape)
+    return _unpack(g.shape, np.unique(y, axis=0))
 
 
 def project_bar(g: UniMatrix) -> UniMatrix:
@@ -351,17 +361,12 @@ def _map_matrix(elements, src, dst_blocks, images):
     else:
         src_cosets = [[g for g in elements if src.coset(g) == c]
                       for c in range(src.rank)]
-    n_rows = sum(b.rank for b in dst_blocks)
-    offsets = []
-    off = 0
-    for b in dst_blocks:
-        offsets.append(off)
-        off += b.rank
+    offsets = np.cumsum([0] + [b.rank for b in dst_blocks])
     cols = []
     for members in src_cosets:
         col_candidates = []
         for rep in members:
-            col = [0] * n_rows
+            col = [0] * offsets[-1]
             for block, offset, summands in zip(dst_blocks, offsets, images):
                 for coeff, w in summands:
                     if isinstance(block, _TrivialModule):
@@ -372,25 +377,8 @@ def _map_matrix(elements, src, dst_blocks, images):
         if len(set(col_candidates)) != 1:
             raise InternalInconsistency(
                 "module map is not constant on a source coset")
-        cols.append(list(col_candidates[0]))
-    return [[cols[c][r] for c in range(len(cols))] for r in range(n_rows)]
-
-
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _is_zero(m):
-    return all(all(x == 0 for x in row) for row in m)
-
-
-def _image_contains_kernel(m_outer, m_inner):
-    """ker(m_outer) contained in the integral column span of m_inner."""
-    for vec in integer_kernel_basis(m_outer):
-        if solve_integer(m_inner, vec) is None:
-            return False
-    return True
+        cols.append(col_candidates[0])
+    return np.array(cols, dtype=np.int64).T
 
 
 def verify_u3_resolution() -> ResolutionReport:
@@ -400,7 +388,10 @@ def verify_u3_resolution() -> ResolutionReport:
     generated by s2 and t, s2, s1 and t, s1 (t the commutator [s1, s2]),
     the three connecting maps, and the comparison ladder down to the
     resolution induced from the order-2 quotient.  Exactness at every
-    spot is decided integrally through Smith normal forms.
+    spot is decided integrally from the Smith diagonals: for free
+    modules A -f-> B -g-> C with g f = 0, ker g is a direct summand of B,
+    so it equals im f iff every elementary divisor of f is 1 and
+    rank f + rank g = rank B.
     """
     shape = UniShape(3, 2)
     s1, s2 = sigma(shape, 1), sigma(shape, 2)
@@ -421,40 +412,40 @@ def verify_u3_resolution() -> ResolutionReport:
                         [[(1, e), (1, s2)], [(-1, e)]])
     m_g_2 = _map_matrix(elements, mod_s1t, [mod_s1, triv],
                         [[(1, e), (1, t)], [(-1, e)]])
-    m_g = [r1 + r2 for r1, r2 in zip(m_g_1, m_g_2)]
+    m_g = np.hstack([m_g_1, m_g_2])
     m_k_1 = _map_matrix(elements, mod_s1, [triv], [[(1, e)]])
     m_k_2 = _map_matrix(elements, triv, [triv], [[(2, e)]])
-    m_k = [r1 + r2 for r1, r2 in zip(m_k_1, m_k_2)]
+    m_k = np.hstack([m_k_1, m_k_2])
 
     ranks = (mod_s2t.rank, mod_s2.rank + mod_s1t.rank,
              mod_s1.rank + triv.rank, triv.rank)
 
+    d_f, d_g, d_k = (smith_normal_form(m).diag for m in (m_f, m_g, m_k))
     exact = (
-        not integer_kernel_basis(m_f)              # injective on the left
-        and _is_zero(_mat_mul(m_g, m_f))
-        and _image_contains_kernel(m_g, m_f)
-        and _is_zero(_mat_mul(m_k, m_g))
-        and _image_contains_kernel(m_k, m_g)
-        and solve_integer(m_k, [1]) is not None    # surjectivity onto Z
+        len(d_f) == ranks[0]                       # injective on the left
+        and not (m_g @ m_f).any()
+        and not (m_k @ m_g).any()
+        and set(d_f + d_g) == {1}                  # saturated images
+        and len(d_f) + len(d_g) == ranks[1]
+        and len(d_g) + len(d_k) == ranks[2]
+        and d_k == (1,)                            # surjectivity onto Z
     )
 
     # comparison ladder onto the resolution induced from the s2-quotient
     m_b1 = _map_matrix(elements, mod_s2t, [mod_s2], [[(1, e), (1, t)]])
     m_b2 = _map_matrix(elements, mod_s2, [mod_s2], [[(1, e), (-1, t)]])
     m_b3 = _map_matrix(elements, mod_s2, [mod_s2t], [[(1, e)]])
-    m_v1 = [[int(i == j) for j in range(mod_s2t.rank)]
-            for i in range(mod_s2t.rank)]
-    m_v2_1 = _map_matrix(elements, mod_s2, [mod_s2], [[(1, e)]])
-    m_v2_2 = [[0] * mod_s1t.rank for _ in range(mod_s2.rank)]
-    m_v2 = [r1 + r2 for r1, r2 in zip(m_v2_1, m_v2_2)]
+    m_v1 = np.eye(mod_s2t.rank, dtype=np.int64)
+    m_v2 = np.hstack([_map_matrix(elements, mod_s2, [mod_s2], [[(1, e)]]),
+                      np.zeros((mod_s2.rank, mod_s1t.rank), dtype=np.int64)])
     m_v3_1 = _map_matrix(elements, mod_s1, [mod_s2], [[(1, e), (1, s1)]])
     m_v3_2 = _map_matrix(elements, triv, [mod_s2],
                          [[(1, e), (1, s1), (1, t), (1, uni_mul(s1, t))]])
-    m_v3 = [r1 + r2 for r1, r2 in zip(m_v3_1, m_v3_2)]
+    m_v3 = np.hstack([m_v3_1, m_v3_2])
     m_v4 = _map_matrix(elements, triv, [mod_s2t], [[(1, e), (1, s1)]])
 
     def commutes(left, bottom, top, right):
-        return _mat_mul(left, top) == _mat_mul(bottom, right)
+        return np.array_equal(left @ top, bottom @ right)
 
     squares = (
         commutes(m_v2, m_b1, m_f, m_v1)

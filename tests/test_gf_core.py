@@ -195,11 +195,3 @@ def test_snf_random_small():
 
 def test_snf_large_entries():
     _check_decomposition([[2 ** 40, 3 ** 25], [5 ** 18, 7 ** 14]])
-
-
-def test_integer_kernel_and_solve():
-    a = [[2, -2, 0], [-2, 2, 0]]
-    for vec in gf.integer_kernel_basis(a):
-        assert all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in a)
-    assert gf.solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    assert gf.solve_integer([[2]], [3]) is None

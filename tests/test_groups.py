@@ -199,12 +199,62 @@ def test_light_test_matches_cubic_check_on_single_entry_changes():
 
 
 def test_large_catalog_tables_build_fast():
-    # the all-triples check took 6.8 s on cyclic(1024) and 3.2 s on u4(3)
-    for name in ("cyclic(1024)", "u4(3)"):
+    # the all-triples check took 6.8 s on cyclic(1024) and 3.2 s on u4(3);
+    # tables filled one entry at a time in Python took 1.5-2.0 s on
+    # elementary(2,10) and about 0.5 s on dihedral(1024)
+    for name, limit in (("cyclic(1024)", 1.0), ("u4(3)", 1.0),
+                        ("elementary(2,10)", 0.75),
+                        ("dihedral(1024)", 0.25)):
         start = time.perf_counter()
         g = gr.catalog(name)
-        assert time.perf_counter() - start < 1.0, name
+        assert time.perf_counter() - start < limit, name
         assert g.order in (1024, 729)
+
+
+def test_catalog_table_memory_stays_order_squared():
+    # a few order^2 int64 arrays (8 MiB each at order 1024), never one
+    # with a factor per digit
+    tracemalloc.start()
+    try:
+        gr.catalog("elementary(2,10)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+# the abelian and dihedral families at many sizes, names with leading
+# zeros, and the one other hand-built table
+TABLE_CATALOG = (
+    [f"cyclic({m})" for m in (*range(1, 17), 25, 27, 32, 64, 100, 128, 243,
+                              256)]
+    + [f"product({a},{b})" for a, b in (
+        (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
+        (3, 3), (4, 4), (2, 8), (3, 9), (5, 7), (6, 4), (8, 8), (16, 16))]
+    + [f"elementary({p},{k})" for p, k in (
+        (2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+        (2, 8), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2))]
+    + [f"dihedral({o})" for o in (2, 4, 6, 8, 10, 12, 16, 18, 32, 64, 128,
+                                  256)]
+    + ["cyclic(04)", "product(02,3)", "elementary(2,03)", "dihedral(010)",
+       "quaternion8"])
+
+
+def test_catalog_tables_are_pinned():
+    # every field a catalog table group carries: tables, names, labels,
+    # presentations, generator maps, elements, words and the greedy
+    # generating sequence
+    h = hashlib.sha256()
+    for name in TABLE_CATALOG:
+        g = gr.catalog(name)
+        pres = g.known_presentation
+        h.update(g.mul.astype("<i8").tobytes()
+                 + g.inv.astype("<i8").tobytes())
+        h.update(repr((name, g.element_names, g.label, pres.generator_count,
+                       pres.relators, pres.label, g.generator_map,
+                       g.elements, g.element_words, g._gens)).encode())
+    assert h.hexdigest() == ("50e228508022188ef83b7b7478c2deb4"
+                             "a318959a28198c73f51a35aa6536184a")
 
 
 def test_grouphom_validation():

@@ -174,13 +174,20 @@ def test_conjugacy_class_sizes_and_shape():
 
 
 def test_class_times_centralizer_is_group_order():
-    for sh in (ut.UniShape(3, 2), ut.UniShape(4, 2), ut.UniShape(4, 3)):
+    # the packed batches against tuple arithmetic one element at a time
+    for sh in (ut.UniShape(3, 2), ut.UniShape(4, 2), ut.UniShape(4, 3),
+               ut.UniShape(4, 3, barred=True)):
         elems = ut.enumerate_group(sh)
         sample = elems if len(elems) <= 32 else elems[:8] + elems[-8:]
         for g in sample:
             cls = ut.conjugacy_class_of(g)
             cent = ut.centralizer_of(g)
             assert len(cls) * len(cent) == len(elems)
+            assert cent == [x for x in elems
+                            if ut.uni_mul(x, g) == ut.uni_mul(g, x)]
+            conj = {ut.uni_mul(ut.uni_mul(x, g), ut.uni_inv(x)).entries
+                    for x in elems}
+            assert [m.entries for m in cls] == sorted(conj)
 
 
 def test_shape_mismatch():
@@ -262,3 +269,20 @@ def test_u3_resolution():
     assert 2 - 6 + 5 - 1 == 0
     assert rep.exact
     assert rep.squares_commute
+
+
+@pytest.mark.parametrize("scale", [2, 0])
+def test_u3_resolution_refuses_a_broken_first_map(monkeypatch, scale):
+    # doubling the first map keeps g f = 0 and every rank but leaves
+    # ker g / im f = (Z/2)^2; zeroing it loses injectivity and the rank
+    # at the middle spot
+    build = ut._map_matrix
+
+    def broken(*args):
+        m = build(*args)
+        if (len(m), len(m[0])) == (6, 2):  # m_f: Z^2 -> Z^6
+            m = scale * m
+        return m
+
+    monkeypatch.setattr(ut, "_map_matrix", broken)
+    assert not ut.verify_u3_resolution().exact
