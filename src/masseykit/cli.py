@@ -154,6 +154,10 @@ def _job_int(job: dict, key: str, default: int) -> int:
 
 def _job_prime(job: dict) -> int:
     prime = _job_int(job, "prime", 2)
+    # refused before the primality test, whose trial division would run
+    # for minutes on a prime this large
+    if prime > 1 and (prime - 1) ** 2 >= 2 ** 63:
+        raise MasseykitError(f"products mod {prime} overflow int64")
     if not is_prime(prime):
         raise InputError(f"'prime' {prime} is not prime")
     return prime
@@ -387,6 +391,8 @@ def cmd_verify(job: dict) -> tuple[dict, int]:
     scenario = job.get("scenario")
     if not scenario:
         raise InputError("verify needs --scenario")
+    if not isinstance(scenario, str):
+        raise InputError(f"'scenario' must be a name, not {scenario!r}")
     report = _envelope("verify", job)
     runners = {
         "paper-example": _scenario_paper_example,
@@ -441,6 +447,11 @@ def cmd_cohomology(job: dict) -> tuple[dict, int]:
         n_max = _job_int(job, "modulus_exponent", 1)
         if n_max < 1:
             raise InputError("'modulus_exponent' must be at least 1")
+        if n_max > 63:
+            # p^n_max is then past 2^63 for every prime; refused before
+            # the power, which takes seconds at exponents near 10^7
+            raise InputError(f"'modulus_exponent' {n_max} puts the "
+                             "modulus above 2^63")
         if not _int_list(job["orientation"]):
             raise InputError("'orientation' must be a list of integers")
         try:

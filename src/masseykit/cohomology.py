@@ -103,15 +103,25 @@ class Orientation:
     unit_values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) % self.modulus for v in self.unit_values)
+        m = self.modulus
+        if m > 2 ** 63:
+            # the units enter the int64 matrix of ``_gs_d1``
+            raise ValueError(f"orientation modulus {m} is above 2^63")
+        vals = tuple(int(v) % m for v in self.unit_values)
         object.__setattr__(self, "unit_values", vals)
         g = self.group
         if len(vals) != g.order:
             raise ValueError("one unit per element required")
-        if any(math.gcd(v, self.modulus) != 1 for v in vals):
+        if any(math.gcd(v, m) != 1 for v in vals):
             raise ValueError("orientation values must be units")
-        u = np.array(vals, dtype=np.int64)
-        if not np.array_equal(u[g.mul], (u[:, None] * u[None, :]) % self.modulus):
+        # theta(xs) = theta(x) theta(s) on G x S, S a generating set, gives
+        # the law on all of G x G by induction on word length, as in fact
+        # (a) of ``_Complex``; Python integers keep it exact at any modulus
+        gens = _generating_sequence(g)
+        if vals[g.identity] != 1 or any(
+                vals[xs] != vals[x] * vals[s] % m
+                for x, row in enumerate(g.mul[:, gens].tolist())
+                for s, xs in zip(gens, row)):
             raise ValueError("orientation is not multiplicative")
 
     def restrict(self, h: SubgroupData) -> "Orientation":

@@ -4,9 +4,10 @@ Prime fields are handled on numpy integer arrays, the one mod-p API of
 the package: row reduction, nullspaces, single solves, and a solver
 that reuses one echelon transform across many right-hand sides.
 Integer matrices get a Smith normal form with unimodular transforms in
-exact (arbitrary-precision) arithmetic; its diagonal and transforms give
-abelianization invariants and its diagonal alone decides the exactness
-of the integral resolution over U(3, F_2).
+exact (arbitrary-precision) arithmetic, one clearing pass per pivot
+pick; its diagonal and transforms give abelianization invariants, and
+its diagonal alone decides formal Hilbert 90 per subgroup and the
+exactness of the integral resolution over U(3, F_2).
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ class SmithDecomposition:
     left: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
     right: tuple[tuple[int, ...], ...]
-    source: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -189,100 +189,62 @@ class SmithDecomposition:
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Smith normal form over Z with minimal-absolute-value pivoting.
 
-    Arithmetic is plain Python integers, so relator matrices with large
-    intermediate coefficients cannot overflow.
+    Each pass moves an entry of least absolute value in the remaining
+    block to the pivot and clears its column and row once by floor
+    division.  A remainder, or a row added to the pivot row because the
+    pivot does not divide one of its entries, makes the next pick
+    smaller, so the loop ends.  Plain Python integers cannot overflow.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
     m = len(a[0]) if n else 0
     if any(len(row) != m for row in a):
         raise DimensionMismatch("ragged rows")
-    source = tuple(tuple(row) for row in a)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(dst, src, c):
-        arow, srow = a[dst], a[src]
-        for j in range(m):
-            arow[j] += c * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(n):
-            urow[j] += c * usrc[j]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for mat in (a, u):
+            drow = mat[dst]
+            for j, x in enumerate(mat[src]):
+                if x:
+                    drow[j] += c * x
 
     t = 0
-    limit = min(n, m)
-    while t < limit:
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+    while t < min(n, m):
+        best = min(((abs(a[i][j]), i, j) for i in range(t, n)
+                    for j in range(t, m) if a[i][j]), default=None)
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        while True:
-            # clear column t then row t; restart if a smaller pivot shows up
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide the rest of the submatrix
-        need_restart = False
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        u[t], u[bi] = u[bi], u[t]
+        for row in a + v:
+            row[t], row[bj] = row[bj], row[t]
+        piv = a[t][t]
         for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % a[t][t]:
-                    add_row(t, i, 1)
-                    need_restart = True
-                    break
-            if need_restart:
-                break
-        if need_restart:
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+            if a[i][t]:
+                add_row(i, t, -(a[i][t] // piv))
+        for j in range(t + 1, m):
+            q = a[t][j] // piv
+            if q:
+                for row in a + v:
+                    if row[t]:
+                        row[j] -= q * row[t]
+        # a unit pivot leaves no remainder and divides every entry
+        if abs(piv) > 1:
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, n)
+                        if any(x % piv for x in a[i][t + 1:])), None)
+            if bad is not None:
+                add_row(t, bad, 1)
+                continue
+        if piv < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
-    diag = tuple(a[i][i] for i in range(t))
-    return SmithDecomposition(
-        left=tuple(tuple(row) for row in u),
-        diag=diag,
-        right=tuple(tuple(row) for row in v),
-        source=source,
-    )
+    return SmithDecomposition(tuple(map(tuple, u)),
+                              tuple(a[i][i] for i in range(t)),
+                              tuple(map(tuple, v)))

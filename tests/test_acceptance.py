@@ -1,9 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a verdict.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 5 runs
-both its smoke subset (complete sweep over the order-<=8 catalog) and the
-full order-<=16 sweep.  The ``slow`` marker only labels the full sweep;
-nothing deselects it by default, and ``-m "not slow"`` leaves it out.
+its smoke subset (complete sweep over the order-<=8 catalog), the full
+order-<=16 sweep, and the fourfold sweep of (chi1, chi2, chi3, chi1)
+against the degenerate fourfold criterion.  The ``slow`` marker only
+labels the full sweep; nothing deselects it by default, and
+``-m "not slow"`` leaves it out.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from masseykit import cohomology as chm
 from masseykit import groups as gr
 from masseykit import massey as msy
 from masseykit import unitriangular as ut
+from masseykit.errors import BudgetExceeded
 
 from helpers import char_rows_for
 
@@ -149,6 +152,45 @@ def test_criterion_5_correspondence_full():
                                    lift_cap=8)
         print(f"  [full: {checked}]", end=" ")
         assert checked["triples"] >= 5000
+
+
+def test_criterion_5_fourfold_correspondence():
+    # every (chi1, chi2, chi3, chi1), chi1 != 0, at p = 2: the finite
+    # route, the lift route into U(5, 2) and its corner-free quotient, and
+    # the degenerate fourfold criterion must give one verdict
+    with criterion(5, "fourfold status/lift/criterion correspondence", 30.0):
+        sh5 = ut.UniShape(5, 2)
+        counts = {}
+        names = [n for n in SMOKE_GROUPS + FULL_EXTRA_GROUPS
+                 if n != "elementary(2,4)"]
+        for name in names:
+            g = gr.catalog(name)
+            pres = g.known_presentation
+            cs = chm.characters_of(g, 2)
+            nonzero = [c for c in cs if c.values.any()]
+            for chi1, chi2, chi3 in itertools.product(nonzero, cs, cs):
+                tup = [chi1, chi2, chi3, chi1]
+                rows = char_rows_for(g, tup)
+                status = msy.massey_status_finite(g, tup)
+                ubar = msy.lift_search(pres, rows, sh5.barred_shape())
+                u = msy.lift_search(pres, rows, sh5)
+                rep = msy.degenerate_fourfold_criterion(g, chi1, chi2, chi3)
+                where = (name, [c.values.tolist() for c in tup])
+                assert status.defined == bool(ubar) == rep.lhs_defined, where
+                assert status.vanishes == bool(u) == rep.lhs_vanishes, where
+                assert rep.agree, where
+                counts[status.status.value] = (
+                    counts.get(status.status.value, 0) + 1)
+        print(f"  [fourfold: {counts}]", end=" ")
+        assert counts == {"Vanishes": 66, "Undefined": 777,
+                          "DefinedNotVanishing": 5}
+        # four generators: 2^24 unbarred candidates exceed the default
+        # lift budget of 2^20
+        g = gr.catalog("elementary(2,4)")
+        chi1 = chm.characters_of(g, 2)[1]
+        with pytest.raises(BudgetExceeded):
+            msy.lift_search(g.known_presentation,
+                            char_rows_for(g, [chi1] * 4), sh5)
 
 
 def test_criterion_6_operator_identities():

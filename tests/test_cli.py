@@ -201,7 +201,12 @@ def test_bad_job_values_are_input_errors(tmp_path, capsys):
             ("cohomology", dict(probe, modulus_exponent=2.0)),
             ("cohomology", dict(probe, orientation=[1, 3.9, 1, 3.2],
                                 group="cyclic(4)")),
-            ("cohomology", dict(probe, orientation=[True, True]))]
+            ("cohomology", dict(probe, orientation=[True, True])),
+            # units past int64, and scenarios that are not names
+            ("cohomology", dict(probe, modulus_exponent=70)),
+            ("cohomology", dict(probe, modulus_exponent=10 ** 9)),
+            ("verify", {"scenario": ["x"]}),
+            ("verify", {"scenario": {"name": "u3-resolution"}})]
     for table in ([[0, 1.7], [1.2, 0]], [["0", "1"], ["1", "0"]],
                   [[False, True], [True, False]], [[0, 1], 5], "01"):
         jobs += [("cohomology", {"mul_table": table}),
@@ -262,6 +267,37 @@ def test_prime_past_int64_products_is_an_error(capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err, err
+
+
+def test_huge_prime_is_refused_before_any_primality_test(monkeypatch,
+                                                         capsys):
+    # trial division up to 10^9 used to run before the int64 guard
+    def refuse(*args):
+        raise AssertionError("primality test started")
+
+    monkeypatch.setattr(cli, "is_prime", refuse)
+    prime = "1000000000000000003"
+    for argv in (["cohomology", "--group", "cyclic(2)"],
+                 ["massey", "--group", "cyclic(2)",
+                  "--characters", "0,1;0,1"]):
+        assert cli.main(argv + ["--prime", prime]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err, err
+
+
+def test_orientation_units_multiply_exactly(tmp_path):
+    # (-1)^2 = 1 mod 3^20, although (3^20 - 1)^2 overflows int64; |G| = 2
+    # is prime to 3, so every H^1 vanishes and every map is onto
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "group": "cyclic(2)", "prime": 3, "modulus_exponent": 20,
+        "orientation": [1, -1]}))
+    code, rep = run(["cohomology", "--input", str(doc)], tmp_path)
+    assert code == 0
+    reports = rep["verdicts"]["formal_h90"]
+    assert len(reports) == 40
+    assert all(r["reduction_surjective"] and r["consecutive_surjective"]
+               for r in reports)
 
 
 def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):

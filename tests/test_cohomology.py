@@ -763,6 +763,15 @@ def test_orientation_validation():
         chm.Orientation(g, 4, (1, 2))        # 2 is not a unit mod 4
     with pytest.raises(ValueError):
         chm.Orientation(g, 4, (3, 3))        # not multiplicative
+    with pytest.raises(ValueError):         # theta(1) theta(1) != theta(2)
+        chm.Orientation(gr.catalog("cyclic(4)"), 4, (1, 3, 3, 1))
+    # the law is checked in Python integers: (3^20 - 1)^2 and
+    # (2^63 - 1)^2 overflow int64, but -1 squares to 1
+    for modulus in (3 ** 20, 2 ** 63):
+        theta = chm.Orientation(g, modulus, (1, -1))
+        assert theta.unit_values == (1, modulus - 1)
+    with pytest.raises(ValueError):         # units past int64
+        chm.Orientation(g, 2 ** 70, (1, 1))
 
 
 def test_character_validation():

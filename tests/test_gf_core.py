@@ -1,10 +1,15 @@
 import itertools
+import math
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from masseykit import gf_core as gf
+from masseykit import groups as gr
 from masseykit.errors import DimensionMismatch, MasseykitError
 
 from helpers import bareiss_det
@@ -182,6 +187,7 @@ def _check_decomposition(a):
         assert snf.diag[i] > 0
     assert abs(bareiss_det(snf.left)) == 1
     assert abs(bareiss_det(snf.right)) == 1
+    return snf
 
 
 def test_snf_random_small():
@@ -195,3 +201,72 @@ def test_snf_random_small():
 
 def test_snf_large_entries():
     _check_decomposition([[2 ** 40, 3 ** 25], [5 ** 18, 7 ** 14]])
+
+
+@contextmanager
+def _watchdog(seconds):
+    """Fail with TimeoutError after ``seconds`` rather than hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _determinantal_quotients(a):
+    """D_k / D_(k-1), D_k the gcd of the k x k minors, while D_k != 0."""
+    rows, cols = len(a), len(a[0])
+    quotients, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                d = math.gcd(d, bareiss_det([[a[i][j] for j in c]
+                                             for i in r]))
+        if d == 0:
+            break
+        quotients.append(d // prev)
+        prev = d
+    return tuple(quotients)
+
+
+def test_snf_dense_sweep():
+    # small dense matrices on which a clear/swap/restart loop let the
+    # coefficients grow: seconds per matrix, transform entries of
+    # 400,000 bits
+    rng = random.Random(1)
+    mats = []
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        mats.append([[rng.randrange(-9, 10) for _ in range(cols)]
+                     for _ in range(rows)])
+    with _watchdog(10):
+        start = time.perf_counter()
+        for a in mats:
+            snf = _check_decomposition(a)
+            if len(a) <= 5 and len(a[0]) <= 5:
+                assert snf.diag == _determinantal_quotients(a), a
+        elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+
+
+def test_abelianization_of_dense_relators():
+    # exponent sums, generators x relators, that a clear/swap/restart
+    # loop did not reduce within 20 s
+    sums = [[9, 8, 0, 7, 4], [8, 7, 4, 9, 0], [5, 0, -5, 7, 5],
+            [9, -5, 8, -4, -1], [-9, 4, 9, -8, 2], [4, 3, 0, -9, -7],
+            [-7, -9, 3, -1, 5]]
+    relators = tuple(
+        tuple(x for i, row in enumerate(sums)
+              for x in [i + 1 if row[j] > 0 else -(i + 1)] * abs(row[j]))
+        for j in range(5))
+    pres = gr.Presentation(7, relators)
+    assert gr.relator_exponent_matrix(pres) == sums
+    with _watchdog(10):
+        ab = gr.abelianization(pres)
+    assert (ab.free_rank, ab.torsion) == (2, ())
