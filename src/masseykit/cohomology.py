@@ -245,7 +245,8 @@ class Character(Cochain):
         if twist is None:
             expect = (v[:, None] + v[None, :]) % modulus
         else:
-            th = np.array(twist.unit_values, dtype=np.int64)
+            # units times values in Python integers, exact at any modulus
+            th = np.array(twist.unit_values, dtype=object)
             expect = (v[:, None] + th[:, None] * v[None, :]) % modulus
         if not np.array_equal(v[group.mul], expect):
             raise ValueError("values do not satisfy the (crossed) "
@@ -281,11 +282,13 @@ def coboundary(c: Cochain) -> Cochain:
     g = c.group
     mul = g.mul
     m = c.modulus
+    v = c.values
     if c.twist is None:
         theta = np.ones(g.order, dtype=np.int64)
     else:
-        theta = np.array(c.twist.unit_values, dtype=np.int64)
-    v = c.values
+        # units times values in Python integers, exact at any modulus
+        theta = np.array(c.twist.unit_values, dtype=object)
+        v = v.astype(object)
     if c.degree == 0:
         out = (theta * v - v) % m
     elif c.degree == 1:
@@ -850,11 +853,16 @@ def formal_h90_check(group: FiniteGroup, theta: Orientation,
     generated by p^n / |H^0(n)|, so i = p^t / gcd(p^n / |H^0(n)|, p^t).
     """
     m = theta.modulus
-    p = next((q for q in range(2, m + 1) if m % q == 0), 0)
-    k = 1
-    while p and p ** k < m:
-        k += 1
-    if not p or p ** k != m:
+    # m = p^k with k the largest exponent for which m is a perfect power
+    # (m < 2^64, so a float root is off by at most one)
+    p, k = m, 1
+    for j in range(m.bit_length(), 1, -1):
+        r = round(m ** (1 / j))
+        root = next((c for c in (r - 1, r, r + 1) if c ** j == m), None)
+        if root is not None:
+            p, k = root, j
+            break
+    if not is_prime(p):
         raise ValueError("orientation modulus must be a prime power")
     if n_max > k:
         raise ValueError("n_max exceeds the orientation modulus exponent")

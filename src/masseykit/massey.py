@@ -29,6 +29,12 @@ superdiagonal entries of every generator image to the character values
 and solves for the remaining entries one offset j - i at a time: with
 the lower offsets fixed, every relator coordinate at offset k is affine
 in the offset-k entries, with the exponent-sum matrix as linear part.
+The search stops at the first offset where no partial lift extends.  Its
+lifts are checked by a factored, exact test: the top offset with free
+entries is central, so the relators there are affine in those entries
+with one linear part for every partial lift, and it suffices to check
+each particular completion and one completion per unit kernel direction,
+not all p^dims completions of every partial lift.
 
 Sign convention: the value of a defining system is the class of
 -sum_{l=2..n} a[1][l] cup a[l][n+1]; the obstruction to lifting a
@@ -466,42 +472,58 @@ class UniLift:
 
 def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
                        characters) -> list[UniLift]:
-    """UniLift objects for a batch of packed lifts, checked once as a
-    batch instead of once per object.  One ``UniMatrix`` is built per
-    distinct image in the batch, and every lift carrying that image
-    shares it (the matrices are frozen): lifts differ from their
-    neighbours in a few kernel coordinates, so most images repeat."""
-    _check_lifts(pres, shape, packed, characters)
-    matrices = {}
+    """UniLift objects for a batch of checked packed lifts.  One
+    ``UniMatrix`` is built per distinct image, found in one pass over the
+    batch, and every lift carrying that image shares it (the matrices are
+    frozen): lifts differ from their neighbours in a few kernel
+    coordinates, so most images repeat.  Images are told apart by their
+    base-p codes while those fit in int64, else by sorting the rows."""
+    p = shape.prime
+    flat = packed.reshape(-1, packed.shape[2])
+    if p ** flat.shape[1] < 2 ** 63:
+        codes = flat @ p ** np.arange(flat.shape[1] - 1, -1, -1,
+                                      dtype=np.int64)
+        _, first, inverse = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+    else:
+        _, first, inverse = np.unique(flat, axis=0, return_index=True,
+                                      return_inverse=True)
+    matrices = np.fromiter(
+        (UniMatrix(shape, e) for e in map(tuple, flat[first].tolist())),
+        dtype=object, count=len(first))
     lifts = []
-    for row in packed:
-        # one row at a time: a whole-batch tolist() would hold a nested
-        # list of every entry next to the objects built from it
-        images = []
-        for e in map(tuple, row.tolist()):
-            m = matrices.get(e)
-            if m is None:
-                m = matrices[e] = UniMatrix(shape, e)
-            images.append(m)
-        images = tuple(images)
+    for images in matrices[inverse.reshape(packed.shape[:2])].tolist():
         lift = object.__new__(UniLift)
         object.__setattr__(lift, "presentation", pres)
         object.__setattr__(lift, "shape", shape)
-        object.__setattr__(lift, "images", images)
+        object.__setattr__(lift, "images", tuple(images))
         object.__setattr__(lift, "characters", characters)
         lifts.append(lift)
     return lifts
 
 
+@lru_cache(maxsize=64)
+def _exponent_matrix(pres: Presentation):
+    """The generators x relators exponent-sum matrix, read-only."""
+    exponents = np.array(relator_exponent_matrix(pres), dtype=np.int64)
+    exponents = exponents.reshape(pres.generator_count, len(pres.relators))
+    exponents.flags.writeable = False
+    return exponents
+
+
 def _validate_char_rows(pres: Presentation, char_rows, p: int):
+    gens = pres.generator_count
     rows = [tuple(int(v) % p for v in row) for row in char_rows]
-    exponents = relator_exponent_matrix(pres)
-    for row in rows:
-        if len(row) != pres.generator_count:
-            raise ValueError("one value per generator required")
-        if any(sum(v * e for v, e in zip(row, col)) % p
-               for col in zip(*exponents)):
-            raise ValueError("character values do not vanish on a relator")
+    # the rows before the first of a wrong length, against every relator
+    # at once in Python integers (exact at any p); a relator error there
+    # comes first, as it would row by row
+    sized = list(itertools.takewhile(lambda row: len(row) == gens, rows))
+    sums = (np.array(sized, dtype=object).reshape(len(sized), gens)
+            @ _exponent_matrix(pres))
+    if (sums % p).any():
+        raise ValueError("character values do not vanish on a relator")
+    if len(sized) < len(rows):
+        raise ValueError("one value per generator required")
     return rows
 
 
@@ -511,10 +533,7 @@ def _exponent_solver(pres: Presentation, p: int):
     kernel basis (Hom(G, Z/p) on the generators), built once per
     (presentation, p) and shared by every search; the cached arrays are
     read-only."""
-    gens = pres.generator_count
-    exponents = np.array(relator_exponent_matrix(pres), dtype=np.int64)
-    solver = gf_core.PrimeSolver(
-        exponents.reshape(gens, len(pres.relators)).T, p)
+    solver = gf_core.PrimeSolver(_exponent_matrix(pres).T, p)
     kernel = solver.kernel_basis()
     for a in (solver.transform, solver.echelon, kernel):
         a.flags.writeable = False
@@ -528,6 +547,15 @@ def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
     return shape.prime ** (free * pres.generator_count)
 
 
+def _completions(lifts, cols, shifts, p: int):
+    """Every row of a packed batch once per shift, in row-major order,
+    with the shift added to its entries at ``cols``."""
+    out = np.repeat(lifts, len(shifts), axis=0)
+    out[:, :, cols] = ((lifts[:, :, cols][:, None] + shifts) % p).reshape(
+        len(out), lifts.shape[1], len(cols))
+    return out
+
+
 def lift_search(pres: Presentation, char_rows, shape: UniShape,
                 budget: int = DEFAULT_LIFT_BUDGET) -> list[UniLift]:
     """All homomorphisms into the shape lifting the character tuple.
@@ -539,12 +567,24 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     by position, plus a constant read off by evaluating the relators with
     those entries at 0.  So every partial lift extends by one particular
     solution plus Hom(G, Z/p) (the kernel of that matrix) at each
-    offset-k position, or not at all.  That matrix's solver and kernel
-    are built once per (presentation, p) and reused by later searches.
-    The lifts are returned lexicographically ordered over (generator,
-    free position) and are re-verified in one batched pass over their
-    packed entries (relators, superdiagonal, character count).  Lifts
-    with an image in common share its ``UniMatrix``.
+    offset-k position, or not at all; the search returns [] at the first
+    offset where no partial lift extends.  That matrix's solver and
+    kernel are built once per (presentation, p) and reused by later
+    searches.
+
+    The lifts are verified from their packed entries (relators,
+    superdiagonal, character count) by one factored check.  The top
+    offset that has free entries (n, or n - 1 in the barred quotient) is
+    central: an element t carried by it multiplies as a t = t a = a + t.
+    So there every relator coordinate is affine in the top entries, with
+    one linear part for all partial lifts, and no other coordinate moves.
+    The check runs on every partial lift's particular completion (kernel
+    coefficients 0) and on the first of them moved along each unit
+    direction (one kernel vector at one top position): if those pass,
+    every completion does, by linearity.  With no free offset the one
+    candidate is checked.  The lifts are returned lexicographically
+    ordered over (generator, free position); lifts with an image in
+    common share its ``UniMatrix``.
     """
     p = shape.prime
     n = shape.size - 1
@@ -563,10 +603,13 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     lifts = np.zeros((1, gens, len(positions)), dtype=np.int64)
     for i in range(1, n + 1):
         lifts[0, :, positions.index((i, i + 1))] = rows[i - 1]
-    for k in range(2, n + 1):
+    # the last solved offset's columns, every kernel shift there and the
+    # unit ones; before any offset, one empty shift and no unit
+    cols, shifts = [], np.zeros((1, gens, 0), dtype=np.int64)
+    units = shifts[:0]
+    for k in sorted({j - i for (i, j) in positions} - {1}):
+        lifts = _completions(lifts, cols, shifts, p)
         cols = [c for c, (i, j) in enumerate(positions) if j - i == k]
-        if not cols:
-            continue
         # the constants: relator coordinates with the offset-k entries 0
         const = np.array(
             [value[:, cols] for value in _relator_values(pres, shape, lifts)],
@@ -576,17 +619,26 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
         # first rows are then the pivot entries of a particular solution
         y = np.einsum("st,tlc->lsc", solver.transform, -const) % p
         solvable = ~y[:, solver.rank:].any(axis=(1, 2))
+        if not solvable.any():
+            return []
         lifts, y = lifts[solvable], y[solvable]
         part = np.zeros((len(lifts), gens, len(cols)), dtype=np.int64)
         part[:, solver.pivots] = y[:, :solver.rank]
+        lifts[:, :, cols] = part
         dims = len(kernel) * len(cols)
         coeffs = np.array(list(itertools.product(range(p), repeat=dims)),
                           dtype=np.int64).reshape(p ** dims, len(kernel),
                                                   len(cols))
         shifts = np.einsum("mdc,dg->mgc", coeffs, kernel)
-        lifts = np.repeat(lifts, len(shifts), axis=0)
-        lifts[:, :, cols] = ((part[:, None] + shifts) % p).reshape(
-            len(lifts), gens, len(cols))
+        # the coefficient tuples with a single 1 sit at the powers of p:
+        # one kernel vector at one position
+        units = shifts[p ** np.arange(dims)]
+    # the top offset is central (see the docstring): the particular
+    # completions and the first one moved along each unit direction
+    # prove every completion
+    probe = _completions(lifts[:1], cols, units, p)
+    _check_lifts(pres, shape, np.concatenate([lifts, probe]), tuple(rows))
+    lifts = _completions(lifts, cols, shifts, p)
     if len(lifts) > 1:
         # the superdiagonal is constant, so this is the order over
         # (generator, free position)

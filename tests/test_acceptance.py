@@ -147,7 +147,7 @@ def test_criterion_5_correspondence_smoke():
 
 @pytest.mark.slow
 def test_criterion_5_correspondence_full():
-    with criterion(5, "status/lift correspondence (full)", 600.0):
+    with criterion(5, "status/lift correspondence (full)", 60.0):
         checked = _agreement_sweep(SMOKE_GROUPS + FULL_EXTRA_GROUPS,
                                    lift_cap=8)
         print(f"  [full: {checked}]", end=" ")

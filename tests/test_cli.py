@@ -300,6 +300,17 @@ def test_orientation_units_multiply_exactly(tmp_path):
                for r in reports)
 
 
+def test_orientation_at_a_large_prime_is_quick(tmp_path):
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({"orientation": [1, 1]}))
+    start = time.perf_counter()
+    code, rep = run(["cohomology", "--group", "cyclic(2)", "--prime",
+                     "2147483647", "--input", str(doc)], tmp_path)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert len(rep["verdicts"]["formal_h90"]) == 2
+
+
 def test_lift_budget_fails_before_any_sweep(tmp_path, capsys):
     # four characters on elementary(2,4): 2^20 barred candidates fit the
     # default budget, the 2^24 unbarred ones do not, and the job must stop

@@ -746,6 +746,23 @@ def test_formal_h90_monotonicity():
                     assert r.consecutive_surjective
 
 
+def test_formal_h90_reads_the_prime_off_the_modulus():
+    # the modulus's prime and exponent come from integer roots, so a large
+    # prime costs a primality test, not a scan up to it
+    g = gr.catalog("cyclic(2)")
+    big = 2147483647
+    for modulus, n_max in ((big, 1), (big ** 2, 2), (2 ** 63, 63),
+                           (3 ** 39, 39), (5, 1), (49, 2)):
+        reports = chm.formal_h90_check(
+            g, chm.Orientation(g, modulus, (1, 1)), n_max)
+        assert len(reports) == 2 * n_max, modulus
+    for modulus in (36, 12, 2 * big, big * 3 ** 2):
+        with pytest.raises(ValueError, match="prime power"):
+            chm.formal_h90_check(g, chm.Orientation(g, modulus, (1, 1)), 1)
+    with pytest.raises(ValueError, match="n_max exceeds"):
+        chm.formal_h90_check(g, chm.Orientation(g, big ** 2, (1, 1)), 3)
+
+
 def test_formal_h90_budget():
     # the subgroup sweep is bounded by enumerate_subgroups' order cap (64)
     g = gr.catalog("cyclic(128)")
@@ -785,6 +802,27 @@ def test_character_validation():
     chm.Character(z2, 4, [0, 1], twist=theta)  # 1 + 3*1 = 0 mod 4
     with pytest.raises(ValueError):
         chm.Character(z2, 4, [0, 1])           # untwisted: 1+1 != 0 mod 4
+
+
+def test_twisted_characters_multiply_exactly():
+    # theta(g) chi(h) is (m - 1)(m - 2) here, past int64 at m = 3^20
+    m = 3 ** 20
+    z2 = gr.catalog("cyclic(2)")
+    chi = chm.Character(z2, m, [0, m - 2],
+                        twist=chm.Orientation(z2, m, (1, -1)))
+    assert chm.coboundary(chi).is_zero()
+    # on Z/4 with theta(x) = -1 the crossed homomorphisms are (0, a, 0, a)
+    z4 = gr.catalog("cyclic(4)")
+    theta = chm.Orientation(z4, m, (1, -1, 1, -1))
+    chi = chm.Character(z4, m, [0, m - 2, 0, m - 2], twist=theta)
+    chm.CohomClass(chi)                       # its coboundary is zero
+    with pytest.raises(ValueError, match="homomorphism law"):
+        chm.Character(z4, m, [0, m - 2, 1, m - 2], twist=theta)
+    f = chm.cochain(z4, 1, m, [0, m - 2, 1, m - 2], twist=theta)
+    assert not chm.coboundary(f).is_zero()
+    # degree 0: (d c)(g) = theta(g) c - c
+    c = chm.cochain(z4, 0, m, m - 2, twist=theta)
+    assert chm.coboundary(c).values.tolist() == [0, 4, 0, 4]
 
 
 def test_dropped_group_frees_its_complex_without_gc():

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import itertools
 import json
@@ -602,6 +603,102 @@ def test_cached_solver_arrays_are_read_only():
         assert a.size
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+# x y x: exponent sums (2, 1), so mod 2 the kernel is (1, 0) and every
+# character vanishes on y.  In U(3, 2) the corner of x y x is c_y + 1 with
+# these characters, so the lifts are c_y = 1 and c_x free.  The corner is
+# the only free offset, so the check's particular completion and its
+# direction probe are all that guard what the solver returns.
+XYX = gr.Presentation(2, ((1, 2, 1),), label="xyx")
+XYX_ROWS = [[1, 0], [1, 0]]
+
+
+def _patch_solver(monkeypatch, corrupt):
+    solver, kernel = msy._exponent_solver(XYX, 2)
+    monkeypatch.setattr(msy, "_exponent_solver",
+                        lambda pres, p: corrupt(solver, kernel))
+
+
+def test_lift_search_finds_the_xyx_lifts():
+    lifts = msy.lift_search(XYX, XYX_ROWS, ut.UniShape(3, 2))
+    assert [tuple(m.entries for m in lift.images) for lift in lifts] \
+        == _brute_force_lifts(XYX, XYX_ROWS, ut.UniShape(3, 2)) \
+        == [((1, 0, 1), (0, 1, 0)), ((1, 1, 1), (0, 1, 0))]
+
+
+def test_lift_check_refuses_a_kernel_row_outside_the_kernel(monkeypatch):
+    # (1, 1) moves the relator's corner: every particular completion still
+    # passes, so only the direction probe can see it
+    _patch_solver(monkeypatch, lambda solver, kernel: (
+        solver, np.array([[1, 1]], dtype=np.int64)))
+    with pytest.raises(InvalidSystem, match="relator"):
+        msy.lift_search(XYX, XYX_ROWS, ut.UniShape(3, 2))
+
+
+def test_lift_check_refuses_a_corrupted_particular_solution(monkeypatch):
+    # a transform that reads the particular corner off as 0, not 1
+    def corrupt(solver, kernel):
+        bad = copy.copy(solver)
+        bad.transform = (solver.transform + 1) % 2
+        return bad, kernel
+
+    _patch_solver(monkeypatch, corrupt)
+    with pytest.raises(InvalidSystem, match="relator"):
+        msy.lift_search(XYX, XYX_ROWS, ut.UniShape(3, 2))
+
+
+def test_lift_search_stops_at_the_first_infeasible_offset(monkeypatch):
+    # no partial lift of this triple extends at offset 2, so each search
+    # evaluates the relators once and checks nothing
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0]]
+    calls = []
+    relator_values = msy._relator_values
+
+    def counting(*args):
+        calls.append(args[1])
+        return relator_values(*args)
+
+    monkeypatch.setattr(msy, "_relator_values", counting)
+    sh = ut.UniShape(4, 2)
+    for shape in (sh.barred_shape(), sh):
+        calls.clear()
+        assert msy.lift_search(pres, rows, shape) == []
+        assert calls == [shape]
+
+
+def test_lift_search_at_a_large_prime():
+    # p^3 > 2^63: distinct images are told apart by sorting, not by codes.
+    # Every search that needs a raised budget here has at least p
+    # candidates, too many to enumerate, so the answers are worked out by
+    # hand and each lift re-checked by the tuple arithmetic of uni_mul
+    p = 2147483647
+    sh = ut.UniShape(3, p)
+    # Z/2: Hom(Z/2, Z/p) = 0, and x^2 has corner 2c, so only c = 0 lifts
+    z2 = gr.Presentation(1, ((1, 1),))
+    (lift,) = msy.lift_search(z2, [[0], [0]], sh, budget=p)
+    assert lift.images == (ut.identity(sh),)
+    assert _relators_hold(z2, lift.images)
+    # [x, y] has corner 1 under these characters: no lift, and the only
+    # barred candidate is a lift
+    comm = gr.Presentation(2, ((1, 2, -1, -2),))
+    rows = [[1, 0], [0, 1]]
+    with pytest.raises(BudgetExceeded):
+        msy.lift_search(comm, rows, sh)
+    assert msy.lift_search(comm, rows, sh, budget=p ** 2) == []
+    (barred,) = msy.lift_search(comm, rows, sh.barred_shape())
+    assert [tuple(m.entries for m in barred.images)] \
+        == _brute_force_lifts(comm, rows, sh.barred_shape())
+    # images whose base-p codes agree mod 2^64: 4p^2 + 8p + 4 = 2^64
+    packed = np.array([[[0, 0, 0], [4, 8, 4]], [[4, 8, 4], [p - 1] * 3]],
+                      dtype=np.int64)
+    assert 4 * p ** 2 + 8 * p + 4 == 2 ** 64
+    lifts = msy._lifts_from_packed(comm, sh, packed, ((1, 0), (0, 1)))
+    assert [[list(m.entries) for m in lift.images] for lift in lifts] \
+        == packed.tolist()
+    assert lifts[0].images[1] is lifts[1].images[0]
+    assert len({id(m) for lift in lifts for m in lift.images}) == 3
 
 
 # ---------------------------------------------------------------------------

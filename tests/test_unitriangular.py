@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -101,6 +102,24 @@ def test_packed_products_and_inverses_match_tuple_arithmetic():
         for k, m in enumerate(mats):
             assert tuple(prods[k]) == ut.uni_mul(m, mats[k - 1]).entries
             assert tuple(invs[k]) == ut.uni_inv(m).entries
+
+
+def test_top_offset_is_central_and_additive():
+    # the top offset carrying entries (the corner, or the offset below it
+    # in the barred quotient) multiplies by adding entries, from either
+    # side; lift_search's factored check rests on this
+    rng = random.Random(7)
+    for size, p, barred in itertools.product((3, 4, 5), (2, 3),
+                                             (False, True)):
+        sh = ut.UniShape(size, p, barred)
+        top = max(j - i for (i, j) in sh.positions)
+        cols = [c for c, (i, j) in enumerate(sh.positions) if j - i == top]
+        a = np.array([[rng.randrange(p) for _ in sh.positions]
+                      for _ in range(16)], dtype=np.int64)
+        t = np.zeros_like(a)
+        t[:, cols] = [[rng.randrange(p) for _ in cols] for _ in range(16)]
+        assert (ut._packed_mul(a, t, sh) == (a + t) % p).all(), sh
+        assert (ut._packed_mul(t, a, sh) == (a + t) % p).all(), sh
 
 
 def test_commutator_examples():
