@@ -67,6 +67,7 @@ from .cohomology import (  # noqa: F401,E402
 )
 from .massey import (  # noqa: F401,E402
     DefiningSystem,
+    LiftSet,
     MasseyReport,
     MasseyStatus,
     UniLift,

@@ -137,15 +137,19 @@ class FiniteGroup:
         # Light's test: the a with (xa)y = x(ay) for all x, y contain e and
         # are closed under products, and the greedy sequence reaches every
         # element as a product e s_1 ... s_k, so checking its members
-        # decides associativity
+        # decides associativity.  It runs over row blocks of about 2^16
+        # entries, so no order^2 temporary is made
         gens: list[int] = []
         reached = {identity}
         while len(reached) < n:
             gens.append(next(i for i in range(n) if i not in reached))
             reached = _generated_members(self, gens)
+        step = max(1, 2 ** 16 // n)
         for s in gens:
-            if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
-                raise ValueError("table is not associative")
+            for lo in range(0, n, step):
+                rows = mul[lo:lo + step]
+                if not np.array_equal(mul[rows[:, s]], rows[:, mul[s]]):
+                    raise ValueError("table is not associative")
         self._gens = tuple(gens)
         inv = np.full(n, -1, dtype=np.int64)
         for a in range(n):

@@ -34,7 +34,10 @@ lifts are checked by a factored, exact test: the top offset with free
 entries is central, so the relators there are affine in those entries
 with one linear part for every partial lift, and it suffices to check
 each particular completion and one completion per unit kernel direction,
-not all p^dims completions of every partial lift.
+not all p^dims completions of every partial lift.  The search returns
+its lifts in that factored form, a ``LiftSet``: its length and truth
+value (the verdicts of the lift route) cost no expansion, and ``UniLift``
+objects are built only for the lifts a caller reads.
 
 Sign convention: the value of a defining system is the class of
 -sum_{l=2..n} a[1][l] cup a[l][n+1]; the obstruction to lifting a
@@ -45,6 +48,7 @@ corner-free homomorphism through the central extension is the class of
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -98,6 +102,7 @@ __all__ = [
     "defining_system_value",
     "massey_status_finite",
     "UniLift",
+    "LiftSet",
     "lift_search",
     "lift_candidate_count",
     "induced_images",
@@ -502,6 +507,87 @@ def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
     return lifts
 
 
+def _shifts(kernel, ncols: int, p: int):
+    """Every combination of kernel vectors at ``ncols`` positions, as a
+    (p^dims, generators, ncols) array of unreduced entries; the coefficient
+    tuples over (kernel vector, position) run in ``itertools.product``
+    order."""
+    dims = len(kernel) * ncols
+    coeffs = np.indices((p,) * dims).reshape(dims, p ** dims).T
+    return np.einsum("mdc,dg->mgc",
+                     coeffs.reshape(p ** dims, len(kernel), ncols), kernel)
+
+
+def _completions(lifts, cols, shifts, p: int):
+    """Every row of a packed batch once per shift, in row-major order,
+    with the shift added to its entries at ``cols``."""
+    out = np.repeat(lifts, len(shifts), axis=0)
+    out[:, :, cols] = ((lifts[:, :, cols][:, None] + shifts) % p).reshape(
+        len(out), lifts.shape[1], len(cols))
+    return out
+
+
+class LiftSet(collections.abc.Sequence):
+    """The lifts ``lift_search`` found, kept packed and factored: every
+    partial lift solvable at the top offset with free entries, completed
+    by its particular solution there, times every Hom(G, Z/p) shift at
+    that offset's positions ``cols``.
+
+    ``len`` (rows x p^dims) and ``bool`` expand nothing.  Indexing,
+    negative indices, slicing and iteration give ``UniLift`` objects in
+    the search's lexicographic order over (generator, free position):
+    each read expands and sorts the packed rows in numpy and builds the
+    lifts it returns, one ``UniMatrix`` per distinct image among them.
+    Nothing built is kept, so a lift read twice is built twice.
+    """
+
+    def __init__(self, presentation: Presentation, shape: UniShape,
+                 characters, partials, cols, kernel):
+        self.presentation = presentation
+        self.shape = shape
+        self.characters = characters
+        self._partials = partials
+        self._cols = cols
+        self._kernel = kernel
+
+    def __len__(self) -> int:
+        dims = len(self._kernel) * len(self._cols)
+        return len(self._partials) * self.shape.prime ** dims
+
+    def __repr__(self) -> str:
+        return (f"LiftSet({self.presentation.label!r}, {self.shape}, "
+                f"{len(self)} lifts)")
+
+    def _packed(self):
+        """Every lift's packed entries, in order."""
+        if not self:
+            return self._partials
+        p = self.shape.prime
+        lifts = _completions(self._partials, self._cols,
+                             _shifts(self._kernel, len(self._cols), p), p)
+        if len(lifts) > 1:
+            # the superdiagonal is constant, so this is the order over
+            # (generator, free position)
+            lifts = lifts[np.lexsort(lifts.reshape(len(lifts), -1).T[::-1])]
+        return lifts
+
+    def _build(self, packed) -> list[UniLift]:
+        return _lifts_from_packed(self.presentation, self.shape, packed,
+                                  self.characters)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(self._packed()[index])
+        i = range(len(self))[index]
+        return self._build(self._packed()[i:i + 1])[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __reversed__(self):
+        return reversed(self[:])
+
+
 @lru_cache(maxsize=64)
 def _exponent_matrix(pres: Presentation):
     """The generators x relators exponent-sum matrix, read-only."""
@@ -547,18 +633,10 @@ def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
     return shape.prime ** (free * pres.generator_count)
 
 
-def _completions(lifts, cols, shifts, p: int):
-    """Every row of a packed batch once per shift, in row-major order,
-    with the shift added to its entries at ``cols``."""
-    out = np.repeat(lifts, len(shifts), axis=0)
-    out[:, :, cols] = ((lifts[:, :, cols][:, None] + shifts) % p).reshape(
-        len(out), lifts.shape[1], len(cols))
-    return out
-
-
 def lift_search(pres: Presentation, char_rows, shape: UniShape,
-                budget: int = DEFAULT_LIFT_BUDGET) -> list[UniLift]:
-    """All homomorphisms into the shape lifting the character tuple.
+                budget: int = DEFAULT_LIFT_BUDGET) -> LiftSet:
+    """All homomorphisms into the shape lifting the character tuple, as a
+    ``LiftSet``.
 
     Per generator the superdiagonal is frozen to the character values;
     the other entries are solved for one offset k = j - i at a time.
@@ -567,24 +645,31 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     by position, plus a constant read off by evaluating the relators with
     those entries at 0.  So every partial lift extends by one particular
     solution plus Hom(G, Z/p) (the kernel of that matrix) at each
-    offset-k position, or not at all; the search returns [] at the first
-    offset where no partial lift extends.  That matrix's solver and
-    kernel are built once per (presentation, p) and reused by later
-    searches.
+    offset-k position, or not at all; the search returns an empty set at
+    the first offset where no partial lift extends.  That matrix's solver
+    and kernel are built once per (presentation, p) and reused by later
+    searches.  Below the top offset with free entries (n, or n - 1 in the
+    barred quotient) every completion is carried to the next offset; at
+    the top one the partial lifts are kept with their particular
+    solutions, and the p^dims completions of each are left to the
+    ``LiftSet``.
 
     The lifts are verified from their packed entries (relators,
-    superdiagonal, character count) by one factored check.  The top
-    offset that has free entries (n, or n - 1 in the barred quotient) is
-    central: an element t carried by it multiplies as a t = t a = a + t.
-    So there every relator coordinate is affine in the top entries, with
-    one linear part for all partial lifts, and no other coordinate moves.
-    The check runs on every partial lift's particular completion (kernel
-    coefficients 0) and on the first of them moved along each unit
-    direction (one kernel vector at one top position): if those pass,
-    every completion does, by linearity.  With no free offset the one
-    candidate is checked.  The lifts are returned lexicographically
-    ordered over (generator, free position); lifts with an image in
-    common share its ``UniMatrix``.
+    superdiagonal, character count) by one factored check before the
+    set is returned.  The top offset is central: an element t carried by
+    it multiplies as a t = t a = a + t.  So there every relator
+    coordinate is affine in the top entries, with one linear part for all
+    partial lifts, and no other coordinate moves.  The check runs on
+    every partial lift's particular completion (kernel coefficients 0)
+    and on the first of them moved along each unit direction (one kernel
+    vector at one top position): if those pass, every completion does,
+    by linearity.  With no free offset the one candidate is checked.
+
+    ``len`` and ``bool`` of the result cost nothing more; indexing,
+    slicing and iteration build ``UniLift`` objects for the lifts read,
+    in lexicographic order over (generator, free position), and lifts
+    built together share the ``UniMatrix`` of an image they have in
+    common.
     """
     p = shape.prime
     n = shape.size - 1
@@ -600,15 +685,15 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     positions = shape.positions
     solver, kernel = _exponent_solver(pres, p)
 
+    chars = tuple(rows)
     lifts = np.zeros((1, gens, len(positions)), dtype=np.int64)
     for i in range(1, n + 1):
         lifts[0, :, positions.index((i, i + 1))] = rows[i - 1]
-    # the last solved offset's columns, every kernel shift there and the
-    # unit ones; before any offset, one empty shift and no unit
-    cols, shifts = [], np.zeros((1, gens, 0), dtype=np.int64)
-    units = shifts[:0]
+    cols = []   # the last solved offset's columns
     for k in sorted({j - i for (i, j) in positions} - {1}):
-        lifts = _completions(lifts, cols, shifts, p)
+        if cols:
+            lifts = _completions(lifts, cols, _shifts(kernel, len(cols), p),
+                                 p)
         cols = [c for c, (i, j) in enumerate(positions) if j - i == k]
         # the constants: relator coordinates with the offset-k entries 0
         const = np.array(
@@ -616,35 +701,26 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
             dtype=np.int64).reshape(len(pres.relators), len(lifts), len(cols))
         # solver.transform applied to -const, position by position: the
         # system is solvable iff the rows past the rank vanish, and the
-        # first rows are then the pivot entries of a particular solution
+        # first rows are then the pivot entries of a particular solution.
+        # Each sum has one product below p^2 per relator, which the
+        # solver, built on those rows, keeps below 2^63
         y = np.einsum("st,tlc->lsc", solver.transform, -const) % p
         solvable = ~y[:, solver.rank:].any(axis=(1, 2))
         if not solvable.any():
-            return []
+            return LiftSet(pres, shape, chars, lifts[:0], cols, kernel)
         lifts, y = lifts[solvable], y[solvable]
         part = np.zeros((len(lifts), gens, len(cols)), dtype=np.int64)
         part[:, solver.pivots] = y[:, :solver.rank]
         lifts[:, :, cols] = part
-        dims = len(kernel) * len(cols)
-        coeffs = np.array(list(itertools.product(range(p), repeat=dims)),
-                          dtype=np.int64).reshape(p ** dims, len(kernel),
-                                                  len(cols))
-        shifts = np.einsum("mdc,dg->mgc", coeffs, kernel)
-        # the coefficient tuples with a single 1 sit at the powers of p:
-        # one kernel vector at one position
-        units = shifts[p ** np.arange(dims)]
     # the top offset is central (see the docstring): the particular
-    # completions and the first one moved along each unit direction
-    # prove every completion
+    # completions and the first one moved along each unit direction (one
+    # kernel vector at one position) prove every completion
+    units = np.einsum("dg,ce->dcge", kernel,
+                      np.eye(len(cols), dtype=np.int64)).reshape(
+                          len(kernel) * len(cols), gens, len(cols))
     probe = _completions(lifts[:1], cols, units, p)
-    _check_lifts(pres, shape, np.concatenate([lifts, probe]), tuple(rows))
-    lifts = _completions(lifts, cols, shifts, p)
-    if len(lifts) > 1:
-        # the superdiagonal is constant, so this is the order over
-        # (generator, free position)
-        keys = lifts.reshape(len(lifts), -1).T[::-1]
-        lifts = lifts[np.lexsort(keys)]
-    return _lifts_from_packed(pres, shape, lifts, tuple(rows))
+    _check_lifts(pres, shape, np.concatenate([lifts, probe]), chars)
+    return LiftSet(pres, shape, chars, lifts, cols, kernel)
 
 
 def _element_images(group: FiniteGroup, lift: UniLift, shape: UniShape):

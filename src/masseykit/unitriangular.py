@@ -184,19 +184,31 @@ def _mul_index(size: int, barred: bool):
     return left, right, scatter
 
 
+def _inner_sums(a, b, shape: UniShape):
+    """Each output slot's sum of a[l] b[r] over its inner pairs, for
+    packed entry arrays.  A slot adds two entries and up to size - 2
+    products below p^2; when that can reach 2^63 the products are
+    reduced mod p first, in Python integers, so the int64 sums stay exact
+    while size x p < 2^63."""
+    left, right, scatter = _mul_index(shape.size, shape.barred)
+    x, y = a[..., left], b[..., right]
+    p = shape.prime
+    if (shape.size - 2) * (p - 1) ** 2 + 2 * (p - 1) < 2 ** 63:
+        return (x * y) @ scatter
+    return (np.multiply(x, y, dtype=object) % p).astype(np.int64) @ scatter
+
+
 def _packed_mul(a, b, shape: UniShape):
     """``uni_mul`` over int64 arrays whose last axis holds packed entries."""
-    left, right, scatter = _mul_index(shape.size, shape.barred)
-    return (a + b + (a[..., left] * b[..., right]) @ scatter) % shape.prime
+    return (a + b + _inner_sums(a, b, shape)) % shape.prime
 
 
 def _packed_inv(a, shape: UniShape):
     """``uni_inv`` over packed entry arrays, by the iteration of
     ``_inv_entries``."""
-    left, right, scatter = _mul_index(shape.size, shape.barred)
     x = np.zeros_like(a)
     for _ in range(shape.size - 1):
-        x = -(a + (a[..., left] * x[..., right]) @ scatter) % shape.prime
+        x = -(a + _inner_sums(a, x, shape)) % shape.prime
     return x
 
 

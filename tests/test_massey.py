@@ -19,6 +19,7 @@ from masseykit.errors import (
     BudgetExceeded,
     InternalInconsistency,
     InvalidSystem,
+    MasseykitError,
 )
 
 from helpers import (
@@ -506,6 +507,116 @@ def test_lift_search_matches_brute_force_sweep():
     assert {0, 1, 2304} <= seen
 
 
+def _entries(lifts):
+    return [tuple(m.entries for m in lift.images) for lift in lifts]
+
+
+def test_lift_set_reads_follow_the_list_order():
+    # every way of reading a LiftSet gives the lifts of list(...), which
+    # the brute-force oracle fixes here and the sha256 pins below
+    cases = list(_oracle_cases())
+    # every tenth u3(3) pair, the branching dihedral(8) case and Z/3
+    for pres, rows, p in cases[:81:10] + cases[81:82] + cases[84:]:
+        sh = ut.UniShape(len(rows) + 1, p)
+        for shape in (sh.barred_shape(), sh):
+            lifts = msy.lift_search(pres, rows, shape)
+            whole = list(lifts)
+            want = _brute_force_lifts(pres, rows, shape)
+            assert isinstance(lifts, collections.abc.Sequence)
+            assert len(lifts) == len(whole) == len(want)
+            assert _entries(whole) == want
+            _assert_reads_match(lifts, whole)
+    for name, p, rows, barred, unbarred in PINNED_LIFTS:
+        pres = gr.catalog(name).known_presentation
+        sh = ut.UniShape(len(rows) + 1, p)
+        for shape, pin in ((sh.barred_shape(), barred), (sh, unbarred)):
+            lifts = msy.lift_search(pres, rows, shape)
+            assert _lift_digest(lifts[:]) == _lift_digest(lifts) == pin
+            _assert_reads_match(lifts, list(lifts))
+
+
+def _assert_reads_match(lifts, whole):
+    count = len(whole)
+    for i in sorted({0, 1, count // 2, count - 1} & set(range(count))):
+        assert lifts[i] == whole[i] == lifts[i - count]
+        assert lifts[np.int64(i)] == whole[i]
+    for sl in (slice(None, 5), slice(-5, None), slice(3, None, 7),
+               slice(None, None, -3), slice(count, None)):
+        assert lifts[sl] == whole[sl]
+    assert list(reversed(lifts)) == whole[::-1]
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            lifts[i]
+
+
+def test_lift_set_length_and_truth_build_nothing(monkeypatch):
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]]
+    sh = ut.UniShape(4, 2)
+    barred = msy.lift_search(pres, rows, sh.barred_shape())
+    lifts = msy.lift_search(pres, rows, sh)
+
+    def refuse(*args):
+        raise AssertionError("expanded or built")
+
+    monkeypatch.setattr(ut.UniMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(msy, "_shifts", refuse)
+    monkeypatch.setattr(msy, "_completions", refuse)
+    assert (len(barred), len(lifts)) == (256, 4096)
+    assert barred and lifts
+    with pytest.raises(AssertionError, match="expanded or built"):
+        lifts[0]
+
+
+def test_lift_set_builds_only_the_lifts_read(monkeypatch):
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]]
+    lifts = msy.lift_search(pres, rows, ut.UniShape(4, 2))
+    whole = list(lifts)
+    built = []
+    post_init = ut.UniMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        post_init(self)
+
+    monkeypatch.setattr(ut.UniMatrix, "__post_init__", counting)
+    # one matrix per distinct image of the lifts read
+    for index in (0, slice(-3, None)):
+        built.clear()
+        read = lifts[index]
+        assert read == whole[index]
+        read = read if isinstance(index, slice) else [read]
+        assert sorted(built) == sorted({m.entries for lift in read
+                                        for m in lift.images})
+
+
+def test_lift_set_samples_like_its_list():
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 0]]
+    sh = ut.UniShape(4, 2)
+    # 4096 lifts are sampled by index, 16 from a copy of the whole set
+    for lifts in (msy.lift_search(pres, rows, sh),
+                  msy.lift_search(pres, [[0, 1, 1, 0], [0, 0, 0, 0]],
+                                  ut.UniShape(3, 2))):
+        for seed in range(3):
+            assert random.Random(seed).sample(lifts, 4) \
+                == random.Random(seed).sample(list(lifts), 4)
+
+
+def test_empty_lift_set_behaves_like_an_empty_list():
+    # no partial lift extends at offset 2: the search's early exit
+    pres = gr.catalog("elementary(2,4)").known_presentation
+    rows = [[0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0]]
+    lifts = msy.lift_search(pres, rows, ut.UniShape(4, 2))
+    assert not lifts and len(lifts) == 0
+    assert list(lifts) == lifts[:] == lifts[::-1] == list(reversed(lifts)) \
+        == random.Random(1).sample(lifts, 0) == []
+    for i in (0, -1):
+        with pytest.raises(IndexError):
+            lifts[i]
+
+
 def test_unilift_rejects_corrupted_lifts():
     pres = gr.catalog("dihedral(16)").known_presentation
     sh = ut.UniShape(5, 2)
@@ -664,7 +775,7 @@ def test_lift_search_stops_at_the_first_infeasible_offset(monkeypatch):
     sh = ut.UniShape(4, 2)
     for shape in (sh.barred_shape(), sh):
         calls.clear()
-        assert msy.lift_search(pres, rows, shape) == []
+        assert not msy.lift_search(pres, rows, shape)
         assert calls == [shape]
 
 
@@ -686,7 +797,7 @@ def test_lift_search_at_a_large_prime():
     rows = [[1, 0], [0, 1]]
     with pytest.raises(BudgetExceeded):
         msy.lift_search(comm, rows, sh)
-    assert msy.lift_search(comm, rows, sh, budget=p ** 2) == []
+    assert not msy.lift_search(comm, rows, sh, budget=p ** 2)
     (barred,) = msy.lift_search(comm, rows, sh.barred_shape())
     assert [tuple(m.entries for m in barred.images)] \
         == _brute_force_lifts(comm, rows, sh.barred_shape())
@@ -699,6 +810,19 @@ def test_lift_search_at_a_large_prime():
         == packed.tolist()
     assert lifts[0].images[1] is lifts[1].images[0]
     assert len({id(m) for lift in lifts for m in lift.images}) == 3
+
+
+def test_lift_search_refuses_solves_that_would_wrap():
+    # each offset's solve sums one product below p^2 per relator: with
+    # three relators at p = 2^31 - 1 that passes 2^63, and the search
+    # refuses before any sum is taken
+    p = 2147483647
+    pres = gr.Presentation(1, ((1, 1), (1, 1, 1), (1,) * 5))
+    with pytest.raises(MasseykitError, match="overflow int64"):
+        msy.lift_search(pres, [[0], [0]], ut.UniShape(3, p), budget=p)
+    two = gr.Presentation(1, ((1, 1), (1, 1, 1)))
+    (lift,) = msy.lift_search(two, [[0], [0]], ut.UniShape(3, p), budget=p)
+    assert lift.images == (ut.identity(ut.UniShape(3, p)),)
 
 
 # ---------------------------------------------------------------------------

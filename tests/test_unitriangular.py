@@ -104,6 +104,21 @@ def test_packed_products_and_inverses_match_tuple_arithmetic():
             assert tuple(invs[k]) == ut.uni_inv(m).entries
 
 
+def test_packed_arithmetic_is_exact_at_large_primes():
+    # every entry p - 1: a product slot of U(5, p) adds two entries and
+    # three products near 2^62, which wrapped int64 (squaring gave corner
+    # 2147483644, not 1); past 2^32 one product alone passes 2^63
+    for p, size, barred in ((2147483647, 3, False), (2147483647, 4, False),
+                            (2147483647, 5, False), (2147483647, 5, True),
+                            (4294967311, 3, False)):
+        sh = ut.UniShape(size, p, barred)
+        m = ut.UniMatrix(sh, (p - 1,) * len(sh.positions))
+        a = np.array([m.entries], dtype=np.int64)
+        assert tuple(ut._packed_mul(a, a, sh)[0]) \
+            == ut.uni_mul(m, m).entries, sh
+        assert tuple(ut._packed_inv(a, sh)[0]) == ut.uni_inv(m).entries, sh
+
+
 def test_top_offset_is_central_and_additive():
     # the top offset carrying entries (the corner, or the offset below it
     # in the barred quotient) multiplies by adding entries, from either
