@@ -26,8 +26,6 @@ from .unitriangular import (  # noqa: F401,E402
     conjugacy_class_of,
     centralizer_of,
     enumerate_group,
-    project_bar,
-    section_lift,
     uni_inv,
     uni_mul,
     verify_u3_resolution,
@@ -74,7 +72,6 @@ from .massey import (  # noqa: F401,E402
     defining_system_from_lift,
     defining_system_value,
     degenerate_fourfold_criterion,
-    lift_obstruction,
     lift_search,
     massey_status_finite,
     validate_defining_system,

@@ -154,8 +154,8 @@ def _job_int(job: dict, key: str, default: int) -> int:
 
 def _job_prime(job: dict) -> int:
     prime = _job_int(job, "prime", 2)
-    # refused before the primality test, whose trial division would run
-    # for minutes on a prime this large
+    # mod-p products past this bound wrap around int64, so the job is
+    # refused whether or not the number is prime
     if prime > 1 and (prime - 1) ** 2 >= 2 ** 63:
         raise MasseykitError(f"products mod {prime} overflow int64")
     if not is_prime(prime):

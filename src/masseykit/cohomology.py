@@ -71,7 +71,6 @@ __all__ = [
     "coboundary",
     "cup",
     "is_coboundary",
-    "class_equal",
     "h_basis",
     "characters_of",
     "bockstein",
@@ -596,12 +595,6 @@ def is_coboundary(z: Cochain) -> Optional[Cochain]:
         raise NotACocycle("input is not a cocycle")
     sol = cx.d1_solver.solve(cx.gs_entries(flat))
     return None if sol is None else cx.unflatten(sol, 1)
-
-
-def class_equal(a: Cochain | CohomClass, b: Cochain | CohomClass) -> bool:
-    ra = a.representative if isinstance(a, CohomClass) else a
-    rb = b.representative if isinstance(b, CohomClass) else b
-    return is_coboundary(ra - rb) is not None
 
 
 def h_basis(group: FiniteGroup, degree: int, modulus: int) -> list[CohomClass]:

@@ -383,11 +383,16 @@ def _dihedral(order: int) -> FiniteGroup:
         raise UnknownName(f"dihedral({order}): order must be even")
     m = order // 2
     # indices: r^i at i, s*r^i at m+i; since r^i s = s r^-i, the
-    # rotation of a product is j - i when the right factor carries s
-    s, r = np.divmod(np.arange(order), m)
-    table = ((s[:, None] ^ s[None, :]) * m
-             + np.where(s[None, :] == 1, r[None, :] - r[:, None],
-                        r[:, None] + r[None, :]) % m)
+    # rotation of a product is j - i when the right factor carries s.
+    # Each m x m quadrant is filled in place, so no order^2 temporary is
+    # made, and in int32, which FiniteGroup widens in the copy it keeps
+    r = np.arange(m, dtype=np.int32)
+    table = np.empty((order, order), dtype=np.int32)
+    rot, refl = table[:m, :m], table[m:, m:]
+    np.remainder(np.add.outer(r, r, out=rot), m, out=rot)
+    np.remainder(np.subtract.outer(m - r, m - r, out=refl), m, out=refl)
+    np.add(rot, m, out=table[m:, :m])
+    np.add(refl, m, out=table[:m, m:])
     rel = ((1,) * m, (2, 2), (2, 1, -2, 1))
     pres = Presentation(2, rel, label=f"dihedral({order})")
     names = [f"r{i}" if i else "e" for i in range(m)]

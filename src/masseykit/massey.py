@@ -79,7 +79,6 @@ from .groups import (
     FiniteGroup,
     Presentation,
     GroupHom,
-    closure_group,
     evaluate_word,
     kernel_of_character,
     reidemeister_schreier,
@@ -91,7 +90,6 @@ from .unitriangular import (
     _packed_inv,
     _packed_mul,
     _position_index,
-    identity,
 )
 
 __all__ = [
@@ -105,10 +103,7 @@ __all__ = [
     "LiftSet",
     "lift_search",
     "lift_candidate_count",
-    "induced_images",
     "defining_system_from_lift",
-    "lift_obstruction",
-    "obstruction_cochain_on",
     "FourfoldReport",
     "degenerate_fourfold_criterion",
     "example_group_presentation",
@@ -723,14 +718,19 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     return LiftSet(pres, shape, chars, lifts, cols, kernel)
 
 
-def _element_images(group: FiniteGroup, lift: UniLift, shape: UniShape):
-    """Packed images in ``shape`` (the lift's own shape or its corner-free
-    quotient), one row per element, of every element word of a finite
-    realization of the presentation; all words advance one letter per
-    step, in one batch.  The induced map is checked to be multiplicative
-    on the full table."""
+def defining_system_from_lift(lift: UniLift,
+                              group: FiniteGroup) -> DefiningSystem:
+    """The defining system of coordinate functions of a corner-free lift,
+    pushed onto a finite realization of the presentation.  An unbarred
+    lift is first projected to the corner-free quotient.
+
+    The group must carry element words in the presentation's generators;
+    all words advance one letter per step, in one batch of packed
+    products, and the induced map is checked to be multiplicative on the
+    full table."""
     if group.element_words is None:
         raise ValueError("group does not carry element words")
+    shape = lift.shape.barred_shape()
     words = group.element_words
     cols = [lift.shape.positions.index(ij) for ij in shape.positions]
     gens = np.array([[m.entries[c] for c in cols] for m in lift.images],
@@ -747,62 +747,9 @@ def _element_images(group: FiniteGroup, lift: UniLift, shape: UniShape):
                           _packed_mul(imgs[:, None], imgs[None, :], shape)):
         raise InternalInconsistency(
             "lift does not descend to the finite group")
-    return imgs
-
-
-def induced_images(lift: UniLift, group: FiniteGroup) -> list[UniMatrix]:
-    """Image of every element of a finite realization of the presentation.
-
-    The group must carry element words in the presentation's generators.
-    The induced map is checked to be multiplicative on the full table.
-    """
-    imgs = _element_images(group, lift, lift.shape)
-    return [UniMatrix(lift.shape, tuple(row)) for row in imgs.tolist()]
-
-
-def defining_system_from_lift(lift: UniLift,
-                              group: FiniteGroup) -> DefiningSystem:
-    """The defining system of coordinate functions of a corner-free lift,
-    pushed onto a finite realization of the presentation.  An unbarred
-    lift is first projected to the corner-free quotient."""
-    shape = lift.shape.barred_shape()
-    imgs = _element_images(group, lift, shape)
     entries = {ij: Cochain(group, 1, shape.prime, imgs[:, c])
                for c, ij in enumerate(shape.positions)}
     return DefiningSystem(group, shape.prime, shape.size - 1, entries)
-
-
-def obstruction_cochain_on(group: FiniteGroup, imgs: Sequence[UniMatrix],
-                           p: int) -> Cochain:
-    """sum_{l=2..n} u[1][l] cup u[l][n+1] evaluated through given images."""
-    s = imgs[0].shape.size
-    n = s - 1
-    vals = np.zeros((group.order, group.order), dtype=np.int64)
-    for l in range(2, n + 1):
-        u1l = np.array([m.entry(1, l) for m in imgs], dtype=np.int64)
-        uln = np.array([m.entry(l, s) for m in imgs], dtype=np.int64)
-        vals = (vals + np.multiply.outer(u1l, uln)) % p
-    return Cochain(group, 2, p, vals)
-
-
-def lift_obstruction(lift: UniLift) -> CohomClass:
-    """Obstruction class to raising a corner-free lift through the center.
-
-    The class lives on the finite image group generated by the lift's
-    images; it is the pullback of the central extension class, i.e. the
-    cocycle sum_{l} (coordinate 1,l) cup (coordinate l,n+1).  Its
-    vanishing there certifies a cover of this particular lift; deciding
-    lift existence for the character tuple as a whole goes through
-    lift_search on the unbarred shape.
-    """
-    shape = lift.shape
-    if not shape.barred:
-        raise InvalidSystem("obstructions are taken for corner-free lifts")
-    # the identity among the generators gives the closure its elements
-    # even when the presentation has no generators
-    q = closure_group([*lift.images, identity(shape)], label="lift-image")
-    coc = obstruction_cochain_on(q, q.elements, shape.prime)
-    return CohomClass(coc)
 
 
 # ---------------------------------------------------------------------------

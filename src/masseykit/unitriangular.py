@@ -31,9 +31,6 @@ __all__ = [
     "enumerate_group",
     "centralizer_of",
     "conjugacy_class_of",
-    "project_bar",
-    "section_lift",
-    "extension_cocycle",
     "ResolutionReport",
     "verify_u3_resolution",
 ]
@@ -62,9 +59,6 @@ class UniShape:
     @property
     def corner(self) -> tuple[int, int]:
         return (1, self.size)
-
-    def unbarred(self) -> "UniShape":
-        return UniShape(self.size, self.prime, False)
 
     def barred_shape(self) -> "UniShape":
         return UniShape(self.size, self.prime, True)
@@ -290,37 +284,6 @@ def conjugacy_class_of(g: UniMatrix,
     y = _packed_mul(_packed_mul(x, a, g.shape), _packed_inv(x, g.shape),
                     g.shape)
     return _unpack(g.shape, np.unique(y, axis=0))
-
-
-def project_bar(g: UniMatrix) -> UniMatrix:
-    """Quotient map U -> U-bar dropping the corner entry."""
-    if g.shape.barred:
-        raise ShapeMismatch("element already lives in the barred quotient")
-    tgt = g.shape.barred_shape()
-    return from_entries(tgt, {ij: g.entry(*ij) for ij in tgt.positions})
-
-
-def section_lift(g: UniMatrix) -> UniMatrix:
-    """The normalized set-section U-bar -> U with corner entry 0."""
-    if not g.shape.barred:
-        raise ShapeMismatch("element does not live in the barred quotient")
-    tgt = g.shape.unbarred()
-    vals = {ij: g.entry(*ij) for ij in g.shape.positions}
-    return from_entries(tgt, vals)
-
-
-def extension_cocycle(gbar: UniMatrix, hbar: UniMatrix) -> int:
-    """Corner entry of s(g)s(h)s(gh)^-1 for the normalized section s.
-
-    This normalized 2-cocycle on the barred group represents the class of
-    the central extension U -> U-bar.
-    """
-    if gbar.shape != hbar.shape or not gbar.shape.barred:
-        raise ShapeMismatch("arguments must share one barred shape")
-    prod = uni_mul(section_lift(gbar), section_lift(hbar))
-    lifted = section_lift(uni_mul(gbar, hbar))
-    diff = uni_mul(prod, uni_inv(lifted))
-    return diff.entry(1, gbar.shape.size)
 
 
 # ---------------------------------------------------------------------------

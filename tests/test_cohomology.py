@@ -162,7 +162,7 @@ def test_graded_commutativity_classes():
     g = gr.catalog("dihedral(8)")
     chars = [c for c in chm.characters_of(g, 2) if c.values.any()]
     for a, b in itertools.product(chars[:3], repeat=2):
-        assert chm.class_equal(chm.cup(a, b), chm.cup(b, a))
+        assert chm.is_coboundary(chm.cup(a, b) - chm.cup(b, a)) is not None
     g3 = gr.catalog("u3(3)")
     for c in chm.characters_of(g3, 3)[:5]:
         assert chm.is_coboundary(chm.cup(c, c)) is not None
@@ -324,7 +324,8 @@ def test_bockstein_z2_matches_cup_square():
     chi = chm.character(g, [0, 1], 2)
     beta = chm.bockstein(chi)
     assert not beta.is_zero_class()
-    assert chm.class_equal(beta.representative, chm.cup(chi, chi))
+    assert chm.is_coboundary(
+        beta.representative - chm.cup(chi, chi)) is not None
 
 
 def test_bockstein_vanishes_when_character_lifts():

@@ -10,6 +10,7 @@ import pytest
 
 from masseykit import gf_core as gf
 from masseykit import groups as gr
+from masseykit import unitriangular as ut
 from masseykit.errors import DimensionMismatch, MasseykitError
 
 from helpers import bareiss_det
@@ -270,3 +271,25 @@ def test_abelianization_of_dense_relators():
     with _watchdog(10):
         ab = gr.abelianization(pres)
     assert (ab.free_rank, ab.torsion) == (2, ())
+
+
+# ---------------------------------------------------------------------------
+# primality
+# ---------------------------------------------------------------------------
+
+def test_is_prime_agrees_with_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(gf.is_prime(n) == by_division(n) for n in range(-3, 10 ** 5))
+
+
+def test_is_prime_at_large_moduli():
+    # a Carmichael number, and strong pseudoprimes to the bases 2, 3, 5, 7
+    # and to the first nine prime bases
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not gf.is_prime(n)
+    assert gf.is_prime(2 ** 61 - 1)
+    with _watchdog(2):
+        shape = ut.UniShape(3, 2 ** 62 - 57)
+    assert shape.prime == 2 ** 62 - 57

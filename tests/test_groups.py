@@ -227,14 +227,15 @@ def test_light_test_makes_no_order_squared_temporaries():
     # at order 2048 a table is 32 MiB: the builder's and the group's copy
     # are all that should coexist (Light's test on whole tables added two
     # more, 133 MiB at the peak)
-    tracemalloc.start()
-    try:
-        g = gr.catalog("product(32,64)")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.order == 2048
-    assert peak < 70 * 2 ** 20
+    for name in ("product(32,64)", "dihedral(2048)"):
+        tracemalloc.start()
+        try:
+            g = gr.catalog(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 2048
+        assert peak < 70 * 2 ** 20, name
 
 
 # the abelian and dihedral families at many sizes, names with leading
