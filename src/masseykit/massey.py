@@ -29,15 +29,19 @@ superdiagonal entries of every generator image to the character values
 and solves for the remaining entries one offset j - i at a time: with
 the lower offsets fixed, every relator coordinate at offset k is affine
 in the offset-k entries, with the exponent-sum matrix as linear part.
-The search stops at the first offset where no partial lift extends.  Its
-lifts are checked by a factored, exact test: the top offset with free
-entries is central, so the relators there are affine in those entries
-with one linear part for every partial lift, and it suffices to check
-each particular completion and one completion per unit kernel direction,
-not all p^dims completions of every partial lift.  The search returns
-its lifts in that factored form, a ``LiftSet``: its length and truth
-value (the verdicts of the lift route) cost no expansion, and ``UniLift``
-objects are built only for the lifts a caller reads.
+The search stops at the first offset where no partial lift extends.
+The top two offsets t - 1, t (for t >= 3) are solved as one affine
+system, since offset-(t-1) entries reach offset t only through the fixed
+superdiagonal: one row reduction decides every partial lift, and the
+completions at offset t - 1 are never expanded.  Relators are evaluated
+all at once, in log-depth pairwise products.  The lifts are checked by a
+factored, exact test: every move left open is at offset t - 1 or t,
+where the relators are affine with one linear part for every partial
+lift, so it suffices to check each partial lift and one move along each
+direction, not every lift.  The search returns its lifts in that
+factored form, a ``LiftSet``: its length and truth value (the verdicts
+of the lift route) cost no expansion, and ``UniLift`` objects are built
+only for the lifts a caller reads.
 
 Sign convention: the value of a defining system is the class of
 -sum_{l=2..n} a[1][l] cup a[l][n+1]; the obstruction to lifting a
@@ -410,23 +414,42 @@ def _status_n4(cx, chars, a, budget: int) -> MasseyReport:
 # unitriangular lifts of presented groups
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _letter_index(pres: Presentation):
+    """The relators as a read-only (relators, width) array of factor
+    indices into [generators, their inverses, the identity], each padded
+    with the identity to ``width``, the least power of two holding every
+    relator."""
+    gens = pres.generator_count
+    longest = max(map(len, pres.relators), default=0)
+    width = 1 << max(longest - 1, 0).bit_length()
+    index = np.full((len(pres.relators), width), 2 * gens, dtype=np.intp)
+    for row, r in zip(index, pres.relators):
+        # letter k picks generator k - 1, letter -k its inverse
+        row[:len(r)] = [x - 1 if x > 0 else gens - x - 1 for x in r]
+    index.flags.writeable = False
+    return index
+
+
 def _relator_values(pres: Presentation, shape: UniShape, packed):
-    """Each relator in turn, evaluated on a batch of lifts given as a
+    """Every relator evaluated on a batch of lifts given as a
     (lifts, generators, positions) int64 array of packed ``UniMatrix``
-    entries: a (lifts, positions) array of packed entries, zero exactly
-    where the relator holds.  Products follow the plan of ``uni_mul`` and
-    inverses the iteration of ``uni_inv``.
+    entries: a (lifts, relators, positions) array of packed entries, zero
+    exactly where the relator holds.
+
+    The words are padded with the identity, whose packed entries are
+    zeros, to a common power-of-two width, and adjacent factors are
+    multiplied pairwise until one is left: log2(width) batched products
+    for all relators at once, exact since the product is associative.
+    Products follow the plan of ``uni_mul`` and inverses the iteration of
+    ``uni_inv``.
     """
-    inverses = _packed_inv(packed, shape)
-    for r in pres.relators:
-        factors = [packed[:, x - 1] if x > 0 else inverses[:, -x - 1]
-                   for x in r]
-        # the identity's packed entries are zeros
-        acc = factors[0] if r else np.zeros(
-            (packed.shape[0], packed.shape[2]), dtype=np.int64)
-        for factor in factors[1:]:
-            acc = _packed_mul(acc, factor, shape)
-        yield acc
+    factors = np.concatenate([packed, _packed_inv(packed, shape),
+                              np.zeros_like(packed[:, :1])], axis=1)
+    f = factors[:, _letter_index(pres)]
+    while f.shape[2] > 1:
+        f = _packed_mul(f[:, :, 0::2], f[:, :, 1::2], shape)
+    return f[:, :, 0]
 
 
 def _check_lifts(pres: Presentation, shape: UniShape, packed,
@@ -438,9 +461,11 @@ def _check_lifts(pres: Presentation, shape: UniShape, packed,
     if len(characters) != n:
         raise InvalidSystem("character count must match the shape")
     gens = packed.shape[1]
-    for r, value in zip(pres.relators, _relator_values(pres, shape, packed)):
-        if value.any():
-            raise InvalidSystem(f"relator {r} not satisfied by images")
+    failing = _relator_values(pres, shape, packed).any(axis=(0, 2))
+    if failing.any():
+        raise InvalidSystem(
+            f"relator {pres.relators[failing.argmax()]} not satisfied by "
+            "images")
     index = _position_index(shape.size, shape.barred)
     diagonal = [index[(i, i + 1)] for i in range(1, n + 1)]
     values = np.array([[characters[i][g] % shape.prime for g in range(gens)]
@@ -522,43 +547,80 @@ def _completions(lifts, cols, shifts, p: int):
     return out
 
 
-class LiftSet(collections.abc.Sequence):
-    """The lifts ``lift_search`` found, kept packed and factored: every
-    partial lift solvable at the top offset with free entries, completed
-    by its particular solution there, times every Hom(G, Z/p) shift at
-    that offset's positions ``cols``.
+def _units(kernel, ncols: int):
+    """One kernel vector at one of ``ncols`` positions, for every pair,
+    as a (kernel vectors x ncols, generators, ncols) array in the
+    (kernel vector, position) order of ``_shifts``."""
+    return np.einsum("dg,ce->dcge", kernel,
+                     np.eye(ncols, dtype=np.int64)).reshape(
+                         len(kernel) * ncols, kernel.shape[1], ncols)
 
-    ``len`` (rows x p^dims) and ``bool`` expand nothing.  Indexing,
-    negative indices, slicing and iteration give ``UniLift`` objects in
-    the search's lexicographic order over (generator, free position):
-    each read expands and sorts the packed rows in numpy and builds the
-    lifts it returns, one ``UniMatrix`` per distinct image among them.
-    Nothing built is kept, so a lift read twice is built twice.
+
+def _mod_matmul(a, b, p: int):
+    """``a @ b`` mod p for integer arrays with entries below p in absolute
+    value.  Each sum has a.shape[-1] products below p^2; when that can
+    reach 2^63 the products are taken in Python integers."""
+    if a.shape[-1] * (p - 1) ** 2 < 2 ** 63:
+        return a @ b % p
+    return (np.matmul(a.astype(object), b.astype(object)) % p).astype(
+        np.int64)
+
+
+class LiftSet(collections.abc.Sequence):
+    """The lifts ``lift_search`` found, kept packed and factored.  Every
+    lift is one of the partial lifts, completed by particular solutions
+    up to the top offset with free entries, plus a combination of the
+    ``directions`` (full-width packed vectors: a kernel vector of the
+    joint solve of the two top offsets, with its matching top change;
+    none when the top offset is 2), plus a Hom(G, Z/p) shift at each of
+    the top offset's positions ``cols``.
+
+    ``len`` (rows x p^(directions + kernel dims x cols)) and ``bool``
+    (rows > 0) expand nothing; past ``sys.maxsize``, ``len`` raises
+    ``OverflowError`` as for any Python sequence, and ``bool`` still
+    answers.  Indexing, negative indices, slicing and iteration give
+    ``UniLift`` objects in the search's lexicographic order over
+    (generator, free position): each read expands the rows along one
+    direction at a time, then over the top shifts, sorts them in numpy
+    and builds the lifts it returns, one ``UniMatrix`` per distinct image
+    among them.  Nothing built is kept, so a lift read twice is built
+    twice.
     """
 
     def __init__(self, presentation: Presentation, shape: UniShape,
-                 characters, partials, cols, kernel):
+                 characters, partials, directions, cols, kernel):
         self.presentation = presentation
         self.shape = shape
         self.characters = characters
         self._partials = partials
+        self._directions = directions
         self._cols = cols
         self._kernel = kernel
 
-    def __len__(self) -> int:
-        dims = len(self._kernel) * len(self._cols)
+    def _count(self) -> int:
+        dims = len(self._directions) + len(self._kernel) * len(self._cols)
         return len(self._partials) * self.shape.prime ** dims
+
+    def __len__(self) -> int:
+        return self._count()
+
+    def __bool__(self) -> bool:
+        return len(self._partials) > 0
 
     def __repr__(self) -> str:
         return (f"LiftSet({self.presentation.label!r}, {self.shape}, "
-                f"{len(self)} lifts)")
+                f"{self._count()} lifts)")
 
     def _packed(self):
         """Every lift's packed entries, in order."""
         if not self:
             return self._partials
         p = self.shape.prime
-        lifts = _completions(self._partials, self._cols,
+        lifts = self._partials
+        for b in self._directions:
+            lifts = ((lifts[:, None] + np.arange(p)[:, None, None] * b)
+                     % p).reshape(-1, *lifts.shape[1:])
+        lifts = _completions(lifts, self._cols,
                              _shifts(self._kernel, len(self._cols), p), p)
         if len(lifts) > 1:
             # the superdiagonal is constant, so this is the order over
@@ -628,37 +690,130 @@ def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
     return shape.prime ** (free * pres.generator_count)
 
 
+def _extend(pres: Presentation, shape: UniShape, lifts, cols, solver):
+    """The partial lifts that extend at one offset, whose positions are
+    ``cols``, each completed there by its particular solution.  With the
+    lower offsets fixed, the offset's relator coordinates are the
+    exponent-sum matrix applied to its entries, position by position,
+    plus the constants read off with those entries at 0."""
+    p = shape.prime
+    const = _relator_values(pres, shape, lifts)[:, :, cols]
+    # solver.transform applied to -const, position by position: the
+    # system is solvable iff the rows past the rank vanish, and the first
+    # rows are then the pivot entries of a particular solution.  Each sum
+    # has one product below p^2 per relator, which the solver, built on
+    # those rows, keeps below 2^63
+    y = solver.transform @ -const % p
+    solvable = ~y[:, solver.rank:].any(axis=(1, 2))
+    lifts = lifts[solvable]
+    part = np.zeros((len(lifts), lifts.shape[1], len(cols)), dtype=np.int64)
+    part[:, solver.pivots] = y[solvable, :solver.rank]
+    lifts[:, :, cols] = part
+    return lifts
+
+
+def _extend_top_two(pres: Presentation, shape: UniShape, lifts, low, top,
+                    solver, kernel):
+    """Offsets t - 1 and t solved as one affine system, for a top offset
+    t >= 3 with positions ``top``, on partial lifts that carry particular
+    solutions at offset t - 1 (positions ``low``).
+
+    Moving the offset-(t-1) entries by s in Hom(G, Z/p)^low leaves every
+    relator coordinate below offset t alone and moves those at offset t
+    by L s, with one linear map L for every partial lift: since
+    2(t - 1) > t, offset-(t-1) entries reach offset t only through
+    products with superdiagonal entries, which the characters fix, and
+    the same holds in inverses.  L is read off the relators on the first
+    partial lift moved along each unit direction, in the same pass that
+    gives every partial lift's offset-t constants c.  With R the exponent
+    solver's transform rows past its rank, a partial lift extends iff
+    R(c + L s) = 0 has a solution s; one row reduction of
+    [RL | every partial lift's -Rc] decides them all and gives each a
+    particular s, with ker(RL) the further moves.
+
+    Returns the partial lifts that extend, with s applied and their top
+    particular solutions set, and one full-width packed direction per
+    ker(RL) basis vector k: k at the offset-(t-1) positions, with the top
+    particular solution of -L k.
+    """
+    p = shape.prime
+    gens = lifts.shape[1]
+    units = _units(kernel, len(low))
+    dims = len(units)
+    probes = _completions(lifts[:1], low, units, p)
+    values = _relator_values(
+        pres, shape, np.concatenate([lifts, probes]))[:, :, top]
+    const, moved = values[:len(lifts)], values[len(lifts):]
+    # the transform applied to -c and to L, position by position, with
+    # sums bounded as in _extend
+    y = solver.transform @ -const % p
+    tl = solver.transform @ (moved - const[:1]) % p
+    rank = solver.rank
+    past = (len(pres.relators) - rank) * len(top)
+    rl = tl[:, rank:].reshape(dims, past).T
+    rhs = y[:, rank:].reshape(len(lifts), past).T
+    ech, pivots, _ = gf_core.rref_array(np.concatenate([rl, rhs], axis=1), p)
+    # rows past RL's rank hold the rows of the left kernel of RL applied
+    # to the right-hand sides
+    pivots = [c for c in pivots if c < dims]
+    solvable = ~ech[len(pivots):, dims:].any(axis=0)
+    lifts, y = lifts[solvable], y[solvable]
+    moves = np.zeros((len(lifts), dims), dtype=np.int64)
+    moves[:, pivots] = ech[:len(pivots), dims:][:, solvable].T
+    moves = np.concatenate(
+        [moves, gf_core._kernel_from_echelon(ech, pivots, dims, p)])
+    # each move as offset-(t-1) entries and as its change T L s of the
+    # top solve's pivot entries
+    shifts = np.zeros((len(moves), gens, len(shape.positions)),
+                      dtype=np.int64)
+    shifts[:, :, low] = _mod_matmul(
+        kernel.T, moves.reshape(len(moves), len(kernel), len(low)), p)
+    change = _mod_matmul(moves, tl[:, :rank].reshape(dims, rank * len(top)),
+                         p).reshape(len(moves), rank, len(top))
+    change[:len(lifts)] -= y[:, :rank]
+    part = np.zeros((len(moves), gens, len(top)), dtype=np.int64)
+    part[:, solver.pivots] = -change % p
+    shifts[:, :, top] = part
+    return (lifts + shifts[:len(lifts)]) % p, shifts[len(lifts):]
+
+
 def lift_search(pres: Presentation, char_rows, shape: UniShape,
                 budget: int = DEFAULT_LIFT_BUDGET) -> LiftSet:
     """All homomorphisms into the shape lifting the character tuple, as a
     ``LiftSet``.
 
     Per generator the superdiagonal is frozen to the character values;
-    the other entries are solved for one offset k = j - i at a time.
-    With the lower offsets fixed, the offset-k coordinates of a relator
-    are the exponent-sum matrix applied to the offset-k entries, position
-    by position, plus a constant read off by evaluating the relators with
-    those entries at 0.  So every partial lift extends by one particular
-    solution plus Hom(G, Z/p) (the kernel of that matrix) at each
-    offset-k position, or not at all; the search returns an empty set at
-    the first offset where no partial lift extends.  That matrix's solver
-    and kernel are built once per (presentation, p) and reused by later
-    searches.  Below the top offset with free entries (n, or n - 1 in the
-    barred quotient) every completion is carried to the next offset; at
-    the top one the partial lifts are kept with their particular
-    solutions, and the p^dims completions of each are left to the
+    the other entries are solved for one offset k = j - i at a time, up
+    to the top offset t with free entries (n, or n - 1 in the barred
+    quotient).  With the lower offsets fixed, the offset-k coordinates of
+    a relator are the exponent-sum matrix applied to the offset-k
+    entries, position by position, plus a constant read off by evaluating
+    the relators with those entries at 0.  So every partial lift extends
+    by one particular solution plus Hom(G, Z/p) (the kernel of that
+    matrix) at each offset-k position, or not at all; the search returns
+    an empty set at the first offset where no partial lift extends.  That
+    matrix's solver and kernel are built once per (presentation, p) and
+    reused by later searches.  Below offset t - 1 every completion is
+    carried to the next offset.  For t >= 3 the partial lifts at offset
+    t - 1 keep their particular solutions, and offsets t - 1 and t are
+    solved together as one affine system (see ``_extend_top_two``), so
+    nothing at offset t - 1 is expanded; for t = 2 offset t is solved
+    alone.  The partial lifts that extend are kept with their top
+    particular solutions, and their completions (along the joint
+    system's kernel, and by Hom(G, Z/p) at the top) are left to the
     ``LiftSet``.
 
     The lifts are verified from their packed entries (relators,
     superdiagonal, character count) by one factored check before the
-    set is returned.  The top offset is central: an element t carried by
-    it multiplies as a t = t a = a + t.  So there every relator
-    coordinate is affine in the top entries, with one linear part for all
-    partial lifts, and no other coordinate moves.  The check runs on
-    every partial lift's particular completion (kernel coefficients 0)
-    and on the first of them moved along each unit direction (one kernel
-    vector at one top position): if those pass, every completion does,
-    by linearity.  With no free offset the one candidate is checked.
+    set is returned.  Every move the ``LiftSet`` makes is at offset
+    t - 1 or t, so it changes no relator coordinate below t - 1; those at
+    t - 1 and t are affine in the move, with a linear part that depends
+    only on the superdiagonal, the same for every partial lift (the top
+    offset is central: an element z carried by it multiplies as
+    a z = z a = a + z).  The check runs on every partial lift and on the
+    first of them moved along each direction and along each unit top
+    shift (one kernel vector at one top position): if those pass, every
+    lift does.  With no free offset the one candidate is checked.
 
     ``len`` and ``bool`` of the result cost nothing more; indexing,
     slicing and iteration build ``UniLift`` objects for the lifts read,
@@ -684,38 +839,32 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     lifts = np.zeros((1, gens, len(positions)), dtype=np.int64)
     for i in range(1, n + 1):
         lifts[0, :, positions.index((i, i + 1))] = rows[i - 1]
+    offset_cols = [[c for c, (i, j) in enumerate(positions) if j - i == k]
+                   for k in sorted({j - i for (i, j) in positions} - {1})]
+    joint = len(offset_cols) > 1
+    directions = lifts[:0]
     cols = []   # the last solved offset's columns
-    for k in sorted({j - i for (i, j) in positions} - {1}):
+    for step in offset_cols[:-1] if joint else offset_cols:
         if cols:
             lifts = _completions(lifts, cols, _shifts(kernel, len(cols), p),
                                  p)
-        cols = [c for c, (i, j) in enumerate(positions) if j - i == k]
-        # the constants: relator coordinates with the offset-k entries 0
-        const = np.array(
-            [value[:, cols] for value in _relator_values(pres, shape, lifts)],
-            dtype=np.int64).reshape(len(pres.relators), len(lifts), len(cols))
-        # solver.transform applied to -const, position by position: the
-        # system is solvable iff the rows past the rank vanish, and the
-        # first rows are then the pivot entries of a particular solution.
-        # Each sum has one product below p^2 per relator, which the
-        # solver, built on those rows, keeps below 2^63
-        y = np.einsum("st,tlc->lsc", solver.transform, -const) % p
-        solvable = ~y[:, solver.rank:].any(axis=(1, 2))
-        if not solvable.any():
-            return LiftSet(pres, shape, chars, lifts[:0], cols, kernel)
-        lifts, y = lifts[solvable], y[solvable]
-        part = np.zeros((len(lifts), gens, len(cols)), dtype=np.int64)
-        part[:, solver.pivots] = y[:, :solver.rank]
-        lifts[:, :, cols] = part
-    # the top offset is central (see the docstring): the particular
-    # completions and the first one moved along each unit direction (one
-    # kernel vector at one position) prove every completion
-    units = np.einsum("dg,ce->dcge", kernel,
-                      np.eye(len(cols), dtype=np.int64)).reshape(
-                          len(kernel) * len(cols), gens, len(cols))
-    probe = _completions(lifts[:1], cols, units, p)
-    _check_lifts(pres, shape, np.concatenate([lifts, probe]), chars)
-    return LiftSet(pres, shape, chars, lifts, cols, kernel)
+        cols = step
+        lifts = _extend(pres, shape, lifts, cols, solver)
+        if not len(lifts):
+            return LiftSet(pres, shape, chars, lifts, directions, cols,
+                           kernel)
+    if joint:
+        low, cols = cols, offset_cols[-1]
+        lifts, directions = _extend_top_two(pres, shape, lifts, low, cols,
+                                            solver, kernel)
+        if not len(lifts):
+            return LiftSet(pres, shape, chars, lifts, directions, cols,
+                           kernel)
+    # the factored check (see the docstring)
+    _check_lifts(pres, shape, np.concatenate([
+        lifts, (lifts[:1] + directions) % p,
+        _completions(lifts[:1], cols, _units(kernel, len(cols)), p)]), chars)
+    return LiftSet(pres, shape, chars, lifts, directions, cols, kernel)
 
 
 def defining_system_from_lift(lift: UniLift,

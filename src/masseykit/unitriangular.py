@@ -49,6 +49,10 @@ class UniShape:
     def __post_init__(self):
         if self.size < 3:
             raise ValueError("size must be at least 3")
+        # packed entries are int64, so a larger modulus can never be used;
+        # refused before the primality test, which is slow on such numbers
+        if self.prime >= 2 ** 63:
+            raise ValueError(f"prime {self.prime} does not fit in int64")
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 

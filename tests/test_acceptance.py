@@ -200,6 +200,41 @@ def test_criterion_5_fourfold_correspondence():
                             char_rows_for(g, [chi1] * 4), sh5)
 
 
+def test_criterion_5_correspondence_at_p3_n4():
+    # 100 seeded fourfold tuples of u3(3) characters at p = 3: the finite
+    # route and the lift route into U(5, 3) and its corner-free quotient
+    # give one verdict, and the first lift of each kind pushes onto the
+    # group as a defining system (with value zero, when unbarred)
+    with criterion(5, "status/lift correspondence (u3(3), p = 3, n = 4)",
+                   20.0):
+        g = gr.catalog("u3(3)")
+        pres = g.known_presentation
+        cs = chm.characters_of(g, 3)
+        rng = random.Random(1)
+        sh5 = ut.UniShape(5, 3)
+        counts = {}
+        for _ in range(100):
+            tup = [rng.choice(cs) for _ in range(4)]
+            rows = char_rows_for(g, tup)
+            status = msy.massey_status_finite(g, tup)
+            ubar = msy.lift_search(pres, rows, sh5.barred_shape())
+            u = msy.lift_search(pres, rows, sh5)
+            where = [c.values.tolist() for c in tup]
+            assert status.defined == bool(ubar), where
+            assert status.vanishes == bool(u), where
+            if ubar:
+                ds = msy.defining_system_from_lift(ubar[0], g)
+                assert msy.validate_defining_system(ds, tup), where
+            if u:
+                ds = msy.defining_system_from_lift(u[0], g)
+                assert msy.validate_defining_system(ds, tup), where
+                assert msy.defining_system_value(ds).is_zero_class(), where
+            counts[status.status.value] = (
+                counts.get(status.status.value, 0) + 1)
+        print(f"  [u3(3), p = 3: {counts}]", end=" ")
+        assert counts == {"Undefined": 80, "Vanishes": 20}
+
+
 def test_criterion_6_operator_identities():
     with criterion(6, "operator identities", 10.0):
         # (t-1) weighted-norm identity, p in {2, 3}

@@ -293,3 +293,10 @@ def test_is_prime_at_large_moduli():
     with _watchdog(2):
         shape = ut.UniShape(3, 2 ** 62 - 57)
     assert shape.prime == 2 ** 62 - 57
+
+
+def test_unishape_refuses_a_prime_past_int64_at_once():
+    # 2^89 - 1 is prime, past the Miller-Rabin bound, and past int64
+    with _watchdog(2):
+        with pytest.raises(ValueError, match="int64"):
+            ut.UniShape(3, 2 ** 89 - 1)

@@ -759,6 +759,47 @@ def test_lift_check_refuses_a_corrupted_particular_solution(monkeypatch):
         msy.lift_search(XYX, XYX_ROWS, ut.UniShape(3, 2))
 
 
+# The same corruptions in U(4, 2), whose top offset is 3: offsets 2 and 3
+# are solved as one affine system, and the check moves the first partial
+# lift along each kernel vector of that system and each top direction.
+XYX_ROWS_4 = [[1, 0], [1, 0], [1, 0]]
+
+
+def test_lift_check_refuses_a_kernel_row_outside_the_kernel_at_offset_3(
+        monkeypatch):
+    sh = ut.UniShape(4, 2)
+    assert _entries(msy.lift_search(XYX, XYX_ROWS_4, sh)) \
+        == _brute_force_lifts(XYX, XYX_ROWS_4, sh)
+    assert len(_brute_force_lifts(XYX, XYX_ROWS_4, sh)) == 8
+    # the partial lift still passes; the probes along the joint system's
+    # kernel, which carry (1, 1) at offset 2, do not
+    _patch_solver(monkeypatch, lambda solver, kernel: (
+        solver, np.array([[1, 1]], dtype=np.int64)))
+    with pytest.raises(InvalidSystem, match="relator"):
+        msy.lift_search(XYX, XYX_ROWS_4, sh)
+
+
+def test_lift_check_refuses_a_corrupted_particular_solution_at_offset_3(
+        monkeypatch):
+    # with XYX_ROWS_4 the partial lift itself breaks the relator; with the
+    # second rows it passes, and so does the top probe, so only the probes
+    # along the joint system's kernel directions, whose top change the
+    # transform also reads off, can see it
+    sh = ut.UniShape(4, 2)
+    rows = [XYX_ROWS_4, [[1, 0], [0, 0], [1, 0]]]
+    assert [len(msy.lift_search(XYX, r, sh)) for r in rows] == [8, 8]
+
+    def corrupt(solver, kernel):
+        bad = copy.copy(solver)
+        bad.transform = (solver.transform + 1) % 2
+        return bad, kernel
+
+    _patch_solver(monkeypatch, corrupt)
+    for r in rows:
+        with pytest.raises(InvalidSystem, match="relator"):
+            msy.lift_search(XYX, r, sh)
+
+
 def test_lift_search_stops_at_the_first_infeasible_offset(monkeypatch):
     # no partial lift of this triple extends at offset 2, so each search
     # evaluates the relators once and checks nothing
@@ -810,6 +851,50 @@ def test_lift_search_at_a_large_prime():
         == packed.tolist()
     assert lifts[0].images[1] is lifts[1].images[0]
     assert len({id(m) for lift in lifts for m in lift.images}) == 3
+
+
+def test_lift_search_solves_the_top_two_offsets_at_a_large_prime():
+    # [x, y] into U(4, p): the top offset is 3, solved with offset 2 as one
+    # affine system, so none of the p^4 completions at offset 2 is
+    # evaluated.  Proportional rows have lifts, the others none.  The
+    # p = 5 digests are those of a search that expanded offset 2, and
+    # equal _brute_force_lifts; at p = 2^31 - 1 the sums over the joint
+    # system's unknowns pass 2^63 unless bounded
+    comm = gr.Presentation(2, ((1, 2, -1, -2),))
+    cases = [
+        ([[1, 0], [2, 0], [3, 0]], (3125, "9100696c0fba4822a866d2e459f9bdcc"
+                                          "efe822547eb24f1677db62074ef56d31")),
+        ([[1, 2], [2, 4], [3, 6]], (3125, "a76554184b1727bf0e5db973a21cb5bd"
+                                          "d5325e789b1d347a923325a44b1ff037")),
+        ([[1, 0], [0, 1], [1, 0]], _lift_digest([])),
+        ([[1, 0], [1, 0], [0, 1]], _lift_digest([])),
+    ]
+    for p in (5, 2147483647):
+        sh = ut.UniShape(4, p)
+        for rows, pin in cases:
+            lifts = msy.lift_search(comm, rows, sh, budget=p ** 6)
+            assert bool(lifts) == (pin[0] > 0), (p, rows)
+            if p == 5:
+                assert _lift_digest(lifts) == pin, rows
+                if lifts:
+                    assert _relators_hold(comm, lifts[1234].images)
+    # zero characters: p^6 lifts, more than sys.maxsize, so len raises
+    # while bool answers from the partial lifts
+    lifts = msy.lift_search(comm, [[0, 0]] * 3, sh, budget=p ** 6)
+    assert lifts
+    with pytest.raises(OverflowError):
+        len(lifts)
+    # x y x: exponent sums (2, 1) of rank 1 mod every p, so the top
+    # particular solutions and the kernel directions carry top changes
+    # (every catalog presentation has rank 0 mod its p)
+    for p in (3, 2147483647):
+        sh = ut.UniShape(4, p)
+        rows = [[1, p - 2], [2, p - 4], [p - 1, 2]]
+        lifts = msy.lift_search(XYX, rows, sh, budget=p ** 6)
+        assert lifts
+        if p == 3:
+            assert _entries(lifts) == _brute_force_lifts(XYX, rows, sh)
+            assert len(lifts) == 27
 
 
 def test_lift_search_refuses_solves_that_would_wrap():
