@@ -67,7 +67,6 @@ __all__ = [
     "zero_cochain",
     "cochain",
     "character",
-    "character_from_function",
     "coboundary",
     "cup",
     "is_coboundary",
@@ -234,20 +233,26 @@ class Character(Cochain):
     """Degree-1 special case: a (crossed) homomorphism to Z/m.
 
     With a twist theta the defining law is chi(gh) = chi(g) +
-    theta(g) chi(h); trivial twist is plain additivity.
+    theta(g) chi(h); trivial twist is plain additivity.  The law is
+    checked on G x S only, S the generating sequence of the table: then
+    it holds on all of G x G by induction on the word length of h, since
+    chi(e) = 0 and, for h = ws, chi(gws) = chi(gw) + theta(gw) chi(s)
+    = chi(g) + theta(g) (chi(w) + theta(w) chi(s)) = chi(g) + theta(g)
+    chi(h), theta being multiplicative.
     """
 
     def __init__(self, group: FiniteGroup, modulus: int, values,
                  twist: Optional[Orientation] = None):
         super().__init__(group, 1, modulus, values, twist)
         v = self.values
+        gens = _generating_sequence(group)
         if twist is None:
-            expect = (v[:, None] + v[None, :]) % modulus
+            expect = (v[:, None] + v[gens][None, :]) % modulus
         else:
             # units times values in Python integers, exact at any modulus
             th = np.array(twist.unit_values, dtype=object)
-            expect = (v[:, None] + th[:, None] * v[None, :]) % modulus
-        if not np.array_equal(v[group.mul], expect):
+            expect = (v[:, None] + th[:, None] * v[gens][None, :]) % modulus
+        if not np.array_equal(v[group.mul[:, gens]], expect):
             raise ValueError("values do not satisfy the (crossed) "
                              "homomorphism law")
 
@@ -261,13 +266,6 @@ class Character(Cochain):
 def character(group: FiniteGroup, values, modulus: int,
               twist: Optional[Orientation] = None) -> Character:
     return Character(group, modulus, values, twist)
-
-
-def character_from_function(group: FiniteGroup, fn, modulus: int) -> Character:
-    """Character from a function on the raw elements behind the indices."""
-    if group.elements is None:
-        raise ValueError("group does not carry raw elements")
-    return Character(group, modulus, [fn(e) for e in group.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +445,10 @@ class _Complex:
 
     @property
     def d1_solver(self) -> PrimeSolver:
+        """The solver of ``d1``, built from the Cayley tree by
+        ``_tree_d1_solver``; it also gives ``z1``."""
         if self._d1_solver is None:
-            self._d1_solver = PrimeSolver(self.d1, self.p)
+            self._d1_solver, self._z1 = _tree_d1_solver(self)
         return self._d1_solver
 
     def cokernel_coords(self, x) -> np.ndarray:
@@ -461,9 +461,9 @@ class _Complex:
     @property
     def z1(self) -> np.ndarray:
         """Rows: value vectors (over non-identity elements) of a basis of
-        the characters Hom(G, Z/p)."""
-        if self._z1 is None:
-            self._z1 = self.d1_solver.kernel_basis()
+        the characters Hom(G, Z/p), in the form that ``nullspace_array``
+        gives the kernel of d1 (identity on its free columns)."""
+        self.d1_solver  # fills _z1
         return self._z1
 
     # -- degree 2 -----------------------------------------------------------
@@ -524,11 +524,7 @@ class _Complex:
                 "kj,hxj->khx", kernel,
                 walk[np.ix_(self.nonid, self.nonid)]).reshape(
                     len(kernel), ne * ne) % p
-            # the canonical basis of a subspace with identity on its free
-            # columns is its reduced echelon form taken from the last
-            # column backwards
-            ech, _, rank = rref_array(cocycles[:, ::-1], p)
-            self._z2 = np.ascontiguousarray(ech[:rank][::-1, ::-1])
+            self._z2 = _kernel_form(cocycles, p)[0]
         return self._z2
 
     @property
@@ -556,6 +552,125 @@ class _Complex:
             raise InternalInconsistency(
                 "a cocycle left the span of the h2 basis and the coboundaries")
         return sol[0]
+
+
+def _kernel_form(vectors: np.ndarray, p: int):
+    """The basis of the span of ``vectors`` (rows) in the form that
+    ``nullspace_array`` gives a kernel, and its columns that carry the
+    identity, ascending.  That basis is the reduced echelon form taken
+    from the last column backwards, so it depends on the span alone."""
+    ech, lead, rank = rref_array(vectors[:, ::-1], p)
+    cols = vectors.shape[1]
+    return (np.ascontiguousarray(ech[:rank][::-1, ::-1]),
+            np.array([cols - 1 - c for c in reversed(lead)], dtype=np.int64))
+
+
+# constraint rows built at a time by ``_tree_d1_solver``
+_D1_BLOCK_ROWS = 512
+
+
+def _tree_d1_solver(cx: _Complex) -> tuple[PrimeSolver, np.ndarray]:
+    """The solver of ``cx.d1`` and the character basis ``z1``, read off a
+    BFS tree of the Cayley graph (edges x -> x s) rather than a row
+    reduction of [d1 | I].
+
+    A 1-cochain f with df = b on G x S has f(xs) = f(x) + f(s) - b(x, s).
+    Walking the tree from f(e) = 0 gives each f(y) as a linear form in b
+    and in t, the values of f on S.  Each (x, s) off the tree then gives
+    the constraint f(x) + f(s) - f(xs) = b(x, s): a row of
+    R.b + M.t = 0, with only |S| unknowns.  Let P index independent rows
+    of M, D the other rows, and E the reduced echelon form of M^T (the
+    identity on P).  The rows C = R[D] - E[:, D]^T R[P] span the left
+    kernel of d1, so b is a coboundary iff C.b = 0, and M[P] t = -R[P] b
+    fixes a particular t through one rank x rank block.  The characters
+    are the walks of ker M, put into the canonical form of ``z2`` (the
+    reduced echelon form taken from the last column backwards); their
+    leading columns are the free columns of d1.  The free-variables-zero
+    solution is x = f - z1^T f[free].  Its values at the pivots, as
+    forms in b, stacked over C, make the rows x rows transform T with
+    T.d1 = [E(d1); 0] that ``PrimeSolver`` keeps.  No product is larger
+    than (rows x |S|) times (|S| x rows).
+    """
+    g, p = cx.group, cx.p
+    n, ne, ns = g.order, cx.ne, len(cx.gens)
+    rows = ne * ns
+    order, parent = _cayley_tree(g, cx.gens)
+    # the tree edge (up[y], s_k) into y, k = gen[y], is d1 row
+    # tree_row[y] (-1 where up[y] is the identity, which has no rows)
+    up = np.full(n, g.identity, dtype=np.int64)
+    gen = np.full(n, -1, dtype=np.int64)
+    for y in order[1:]:
+        up[y], gen[y] = parent[y]
+    tree_row = np.where(up == g.identity, -1, cx.col_of[up] * ns + gen)
+    # on_path[y, z]: the edge into z lies on the tree path to y, found
+    # by doubling the hop along the path, log2(depth) steps
+    on_path = np.eye(n, dtype=bool)
+    on_path[g.identity, g.identity] = False
+    hop = up
+    while (hop != g.identity).any():
+        on_path |= on_path[hop]
+        hop = hop[hop]
+    # f(y) = walk_b[y].b + walk_t[y].t
+    walk_t = on_path.astype(np.int64) @ (
+        gen[:, None] == np.arange(ns)[None, :]) % p
+    inner = tree_row >= 0
+    walk_b = np.zeros((n, rows), dtype=np.int64)
+    walk_b[:, tree_row[inner]] = on_path[:, inner] * (p - 1)
+
+    # the constraints on the d1 rows (x, s_k) off the tree, x s_k = y
+    on_tree = np.zeros(rows, dtype=bool)
+    on_tree[tree_row[inner]] = True
+    off = np.flatnonzero(~on_tree)
+    at, ks = np.divmod(off, ns)
+    xs = cx.nonid[at]
+    ys = g.mul[xs, cx.gens[ks]]
+    m = (walk_t[xs] + (ks[:, None] == np.arange(ns)[None, :])
+         - walk_t[ys]) % p
+
+    def constraint_rows(sel):
+        r = walk_b[xs[sel]] - walk_b[ys[sel]]
+        r[np.arange(len(sel)), off[sel]] -= 1
+        return r % p
+
+    # rows of M that vanish are dependent with zero coefficients, so only
+    # the others enter the row reduction of M^T
+    live = np.flatnonzero(m.any(axis=1))
+    live_ech, live_indep, r = rref_array(m[live].T, p)
+    indep = live[live_indep]
+    coeffs = np.zeros((r, len(off)), dtype=np.int64)
+    coeffs[:, live] = live_ech[:r]
+    is_indep = np.zeros(len(off), dtype=bool)
+    is_indep[indep] = True
+    dependent = np.flatnonzero(~is_indep)
+    r_indep = constraint_rows(indep)
+    m_indep = m[indep]
+    # a particular t: Q the pivots of M[P] and T' the transform of the
+    # rank x rank block, t[Q] = T'.(-R[P] b) and zero elsewhere
+    aug, q, _ = rref_array(
+        np.concatenate([m_indep, np.eye(r, dtype=np.int64)], axis=1), p)
+    t_of_b = np.zeros((ns, rows), dtype=np.int64)
+    t_of_b[q] = (-aug[:, ns:] @ r_indep) % p
+    f_of_b = (walk_b[cx.nonid] + walk_t[cx.nonid] @ t_of_b) % p
+
+    z1, free = _kernel_form(
+        (nullspace_array(m_indep, p) @ walk_t[cx.nonid].T) % p, p)
+    is_free = np.zeros(ne, dtype=bool)
+    is_free[free] = True
+    pivots = np.flatnonzero(~is_free)
+    rank = len(pivots)
+    echelon = np.zeros((rank, ne), dtype=np.int64)
+    echelon[np.arange(rank), pivots] = 1
+    echelon[:, free] = (-z1[:, pivots].T) % p
+
+    transform = np.empty((rows, rows), dtype=np.int64)
+    transform[:rank] = (f_of_b[pivots]
+                        - z1[:, pivots].T @ f_of_b[free]) % p
+    for start in range(0, len(dependent), _D1_BLOCK_ROWS):
+        block = dependent[start:start + _D1_BLOCK_ROWS]
+        transform[rank + start:rank + start + len(block)] = (
+            constraint_rows(block) - coeffs[:, block].T @ r_indep) % p
+    return PrimeSolver.from_transform(transform, echelon, pivots.tolist(),
+                                      p), z1
 
 
 def cochain_complex(group: FiniteGroup, p: int) -> _Complex:

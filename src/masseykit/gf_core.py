@@ -154,32 +154,58 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int):
     return x, _kernel_from_echelon(ech, pivots, cols, p)
 
 
+def _check_sums(rows: int, p: int):
+    if rows * (p - 1) ** 2 >= 2 ** 63:
+        raise MasseykitError(
+            f"sums of {rows} products mod {p} overflow int64")
+
+
 class PrimeSolver:
     """Echelon machinery for one matrix A mod p, reused across many solves.
 
-    Precomputes a transform T with T.A in reduced echelon form, so that
-    solvability and particular solutions for many right-hand sides reduce
-    to matrix products, each a sum of ``rows`` products below p^2.
+    Holds a transform T, rows x rows, with T.A = [E; 0] for E the reduced
+    echelon form of A: the first ``rank`` rows of T give the pivot values
+    of the free-variables-zero solution, and the rows past the rank
+    annihilate im(A).  So solvability and particular solutions for many
+    right-hand sides reduce to matrix products, each a sum of ``rows``
+    products below p^2.  The constructor finds T by row reducing [A | I];
+    ``from_transform`` takes a T found another way.
     """
 
     def __init__(self, a: np.ndarray, p: int):
         if not is_prime(p):
             raise NonPrimeModulus(f"modulus {p} is not prime")
         a = np.asarray(a) % p
-        self.p = p
-        self.rows, self.cols = a.shape
-        if self.rows * (p - 1) ** 2 >= 2 ** 63:
-            raise MasseykitError(
-                f"sums of {self.rows} products mod {p} overflow int64")
+        rows, cols = a.shape
+        _check_sums(rows, p)
         aug = np.concatenate(
-            [a, np.eye(self.rows, dtype=np.int64)], axis=1)
-        ech, pivots, rank = rref_array(aug, p)
+            [a, np.eye(rows, dtype=np.int64)], axis=1)
+        ech, pivots, _ = rref_array(aug, p)
         # Pivots inside the A-block are genuine pivots of A; later ones come
         # from the identity block and index the cokernel rows.
-        self.pivots = [c for c in pivots if c < self.cols]
-        self.rank = len(self.pivots)
-        self.transform = ech[:, self.cols:]
-        self.echelon = ech[: self.rank, : self.cols]
+        pivots = [c for c in pivots if c < cols]
+        self._hold(ech[:, cols:], ech[:len(pivots), :cols], pivots, p)
+
+    @classmethod
+    def from_transform(cls, transform: np.ndarray, echelon: np.ndarray,
+                       pivots, p: int) -> "PrimeSolver":
+        """The solver of a matrix A whose T (``transform``, rows x rows,
+        entries in [0, p)) and reduced echelon form E (``echelon``, with
+        its leading columns ``pivots``) are already known, T.A = [E; 0]."""
+        if not is_prime(p):
+            raise NonPrimeModulus(f"modulus {p} is not prime")
+        _check_sums(transform.shape[0], p)
+        solver = cls.__new__(cls)
+        solver._hold(transform, echelon, list(pivots), p)
+        return solver
+
+    def _hold(self, transform, echelon, pivots, p):
+        self.p = p
+        self.rows, self.cols = transform.shape[0], echelon.shape[1]
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self.transform = transform
+        self.echelon = echelon
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         # b is reduced here: public callers may pass any integers

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +19,21 @@ from masseykit import unitriangular as ut
 from masseykit.errors import BudgetExceeded
 from masseykit.gf_core import smith_normal_form
 from masseykit.groups import FiniteGroup, _generating_sequence
+
+
+@contextmanager
+def watchdog(seconds):
+    """Fail with TimeoutError after ``seconds`` rather than hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def bareiss_det(matrix) -> int:
@@ -113,9 +130,17 @@ def char_rows_for(group: gr.FiniteGroup, chars) -> list[list[int]]:
     return [[int(c.values[g]) for g in group.generator_map] for c in chars]
 
 
+def character_from_function(group: gr.FiniteGroup, fn,
+                            modulus: int) -> chm.Character:
+    """Character from a function on the raw elements behind the indices."""
+    if group.elements is None:
+        raise ValueError("group does not carry raw elements")
+    return chm.Character(group, modulus, [fn(e) for e in group.elements])
+
+
 def coordinate_character(group: gr.FiniteGroup, i: int, j: int,
                          p: int) -> chm.Character:
-    return chm.character_from_function(group, lambda m: m.entry(i, j), p)
+    return character_from_function(group, lambda m: m.entry(i, j), p)
 
 
 def random_cochain(rng, group, degree, modulus, twist=None):
@@ -148,6 +173,14 @@ def dense_d1(group: gr.FiniteGroup, p: int) -> np.ndarray:
         if gh != group.identity:
             mat[row, col[gh]] -= 1
     return mat % p
+
+
+def row_reduced_d1_solver(group: gr.FiniteGroup, p: int) -> gf.PrimeSolver:
+    """The solver of the G x S rows of d1 found by row reducing
+    [d1 | I], independently of the Cayley-tree walk that
+    ``cochain_complex(group, p).d1_solver`` uses."""
+    return gf.PrimeSolver(chm._gs_d1(group, _generating_sequence(group)) % p,
+                          p)
 
 
 def dense_d2(group: gr.FiniteGroup, p: int, last=None) -> np.ndarray:

@@ -26,6 +26,8 @@ from helpers import (
     dense_d2,
     h90_orientations,
     random_cochain,
+    row_reduced_d1_solver,
+    watchdog,
 )
 
 CATALOG_SAMPLE = ("cyclic(2)", "cyclic(4)", "product(2,2)", "dihedral(8)",
@@ -274,6 +276,134 @@ def test_generating_set_complex_matches_dense_bar_complex(p):
         for row in h2:
             assert cx.d1_solver.solve(cx.gs_entries(row)) is None, name
             assert solver.solve(row) is None, name
+
+
+# the order-27 and order-32 groups the benchmark builds, at their primes
+TREE_EXTRA = {2: ("product(4,8)",), 3: ("u3(3)", "product(3,9)")}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tree_d1_solver_matches_row_reduced_d1(p):
+    # the solver read off the Cayley tree against the row reduction of
+    # [d1 | I] it replaced: the same pivots, echelon form, characters,
+    # solutions and refusals, a transform of the same shape with
+    # T.d1 = [E; 0], and cokernel rows spanning the same space
+    rng = random.Random(10 + p)
+    for name in DENSE_GROUPS + TREE_EXTRA[p]:
+        g = gr.catalog(name)
+        cx = chm.cochain_complex(g, p)
+        tree, dense = cx.d1_solver, row_reduced_d1_solver(g, p)
+        assert tree.pivots == dense.pivots, name
+        assert np.array_equal(tree.echelon, dense.echelon), name
+        z1 = dense.kernel_basis()
+        assert cx.z1.shape == z1.shape and cx.z1.tobytes() == z1.tobytes()
+        assert tree.transform.shape == dense.transform.shape, name
+        back = tree.transform @ cx.d1 % p
+        assert np.array_equal(back[:tree.rank], tree.echelon), name
+        assert not back[tree.rank:].any(), name
+        for _ in range(20):
+            x = np.array([rng.randrange(p) for _ in range(cx.ne)])
+            b = cx.d1 @ x % p
+            assert np.array_equal(tree.solve(b), dense.solve(b)), name
+        refused = 0
+        for _ in range(20):
+            b = np.array([rng.randrange(p) for _ in range(tree.rows)])
+            sol = dense.solve(b)
+            if sol is None:
+                assert tree.solve(b) is None, name
+                refused += 1
+            else:
+                assert np.array_equal(tree.solve(b), sol), name
+        assert refused or tree.rank == tree.rows, name
+        coker = tree.transform[tree.rank:]
+        assert gf.rref_array(coker, p)[2] == len(coker), name
+        assert gf.rref_array(np.concatenate(
+            [coker, dense.transform[dense.rank:]]), p)[2] == len(coker)
+
+
+def _full_law_holds(g, v, m, theta=None):
+    th = np.ones(g.order, dtype=np.int64) if theta is None \
+        else np.array(theta, dtype=np.int64)
+    return np.array_equal(v[g.mul] % m,
+                          (v[:, None] + th[:, None] * v[None, :]) % m)
+
+
+def test_character_law_on_generators_matches_full_law():
+    # Character checks the (crossed) homomorphism law on G x S only; a
+    # value vector must pass exactly when the law holds on all of G x G
+    rng = random.Random(11)
+    verdicts = set()
+    for name in DENSE_GROUPS:
+        g = gr.catalog(name)
+        cases = []
+        for p in (2, 3):
+            z1 = chm.cochain_complex(g, p).z1
+            for _ in range(6):
+                v = np.zeros(g.order, dtype=np.int64)
+                v[chm.cochain_complex(g, p).nonid] = \
+                    np.array([rng.randrange(p) for _ in z1]) @ z1 % p
+                cases.append((v, p, None))
+                bent = v.copy()
+                bent[rng.randrange(g.order)] += rng.randrange(1, p)
+                cases.append((bent, p, None))
+                cases.append((np.array([rng.randrange(p)
+                                        for _ in range(g.order)]), p, None))
+        # principal crossed homomorphisms g -> theta(g) a - a, bent too
+        for p, m in ((2, 4), (3, 9)):
+            for units in h90_orientations(g, p, m)[1:]:
+                theta = chm.Orientation(g, m, units)
+                for _ in range(3):
+                    a = rng.randrange(m)
+                    v = (np.array(units, dtype=np.int64) * a - a) % m
+                    cases.append((v, m, theta))
+                    bent = v.copy()
+                    bent[rng.randrange(g.order)] += rng.randrange(1, m)
+                    cases.append((bent, m, theta))
+        for v, m, theta in cases:
+            # the identity's value is zeroed, as Cochain does
+            v = v.copy()
+            v[g.identity] = 0
+            units = None if theta is None else theta.unit_values
+            want = _full_law_holds(g, v, m, units)
+            try:
+                chm.Character(g, m, v, twist=theta)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (name, v.tolist(), m)
+            verdicts.add((want, theta is None))
+    assert verdicts == {(True, True), (False, True), (True, False),
+                        (False, False)}
+
+
+@pytest.mark.parametrize("name, dim_z1", [
+    ("cyclic(1024)", 1), ("product(32,32)", 2), ("dihedral(1024)", 2)])
+def test_degree_one_at_order_1024_within_budget(name, dim_z1):
+    # the row reduction of [d1 | I] took about 9 s at order 1024; the
+    # Cayley-tree build takes about 0.1 s
+    g = gr.catalog(name)
+    with watchdog(30):
+        start = time.perf_counter()
+        cx = chm.cochain_complex(g, 2)
+        built = time.perf_counter()
+        solver = cx.d1_solver
+        solved = time.perf_counter()
+        z1 = cx.z1
+        done = time.perf_counter()
+    assert built - start < 0.5
+    assert solved - built < 0.5
+    assert done - solved < 0.5
+    assert len(z1) == dim_z1
+    rng = np.random.default_rng(1024)
+    spent = []
+    for _ in range(3):
+        b = cx.d1 @ rng.integers(0, 2, cx.ne) % 2
+        start = time.perf_counter()
+        x = solver.solve(b)
+        spent.append(time.perf_counter() - start)
+        assert np.array_equal(cx.d1 @ x % 2, b)
+    # the best of three, so that one preempted solve does not fail it
+    assert min(spent) < 0.020
 
 
 def test_z2_matches_gs_kernel_at_orders_27_and_32():

@@ -1,9 +1,7 @@
 import itertools
 import math
 import random
-import signal
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from masseykit import groups as gr
 from masseykit import unitriangular as ut
 from masseykit.errors import DimensionMismatch, MasseykitError
 
-from helpers import bareiss_det
+from helpers import bareiss_det, watchdog
 
 
 def test_rref_identity_mod_2():
@@ -204,21 +202,6 @@ def test_snf_large_entries():
     _check_decomposition([[2 ** 40, 3 ** 25], [5 ** 18, 7 ** 14]])
 
 
-@contextmanager
-def _watchdog(seconds):
-    """Fail with TimeoutError after ``seconds`` rather than hang."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _determinantal_quotients(a):
     """D_k / D_(k-1), D_k the gcd of the k x k minors, while D_k != 0."""
     rows, cols = len(a), len(a[0])
@@ -246,7 +229,7 @@ def test_snf_dense_sweep():
         rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
         mats.append([[rng.randrange(-9, 10) for _ in range(cols)]
                      for _ in range(rows)])
-    with _watchdog(10):
+    with watchdog(10):
         start = time.perf_counter()
         for a in mats:
             snf = _check_decomposition(a)
@@ -268,7 +251,7 @@ def test_abelianization_of_dense_relators():
         for j in range(5))
     pres = gr.Presentation(7, relators)
     assert gr.relator_exponent_matrix(pres) == sums
-    with _watchdog(10):
+    with watchdog(10):
         ab = gr.abelianization(pres)
     assert (ab.free_rank, ab.torsion) == (2, ())
 
@@ -290,13 +273,13 @@ def test_is_prime_at_large_moduli():
     for n in (561, 3215031751, 3825123056546413051):
         assert not gf.is_prime(n)
     assert gf.is_prime(2 ** 61 - 1)
-    with _watchdog(2):
+    with watchdog(2):
         shape = ut.UniShape(3, 2 ** 62 - 57)
     assert shape.prime == 2 ** 62 - 57
 
 
 def test_unishape_refuses_a_prime_past_int64_at_once():
     # 2^89 - 1 is prime, past the Miller-Rabin bound, and past int64
-    with _watchdog(2):
+    with watchdog(2):
         with pytest.raises(ValueError, match="int64"):
             ut.UniShape(3, 2 ** 89 - 1)

@@ -1074,20 +1074,27 @@ def test_degree_two_class_decisions_are_pinned():
 def test_degree_two_decisions_build_only_d1_solvers(monkeypatch):
     # class questions read the d1 solver's cokernel coordinates: once G's
     # complex is built, h2 coordinates need no solver and a fourfold call
-    # builds only the d1 solver of its kernel H
+    # builds only the d1 solver of its kernel H, from H's Cayley tree
     g = gr.catalog("dihedral(8)")
     cx = chm.cochain_complex(g, 2)
     cx.h2
-    builds = []
+    builds, row_reductions = [], []
+    tree_build = chm._tree_d1_solver
     init = gf.PrimeSolver.__init__
 
+    def counting_tree_build(complex_):
+        solver, z1 = tree_build(complex_)
+        builds.append((solver.rows, solver.cols))
+        return solver, z1
+
     def counting_init(self, a, p):
-        builds.append(np.shape(a))
+        row_reductions.append(np.shape(a))
         init(self, a, p)
 
+    monkeypatch.setattr(chm, "_tree_d1_solver", counting_tree_build)
     monkeypatch.setattr(gf.PrimeSolver, "__init__", counting_init)
     assert cx.h2_coordinates(cx.h2[0]).tolist()[0] == 1
-    assert builds == []
+    assert builds == [] and row_reductions == []
     cs = chars_of(g)
     for chi1, chi2, chi3 in [(cs[1], cs[2], cs[3]), (cs[2], cs[0], cs[1])]:
         builds.clear()
@@ -1095,6 +1102,7 @@ def test_degree_two_decisions_build_only_d1_solvers(monkeypatch):
         assert rep.agree
         h = gr.kernel_of_character(g, chi1)
         assert builds == [chm.cochain_complex(h.as_group, 2).d1.shape]
+        assert row_reductions == []
 
 
 # ---------------------------------------------------------------------------
