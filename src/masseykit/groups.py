@@ -619,7 +619,12 @@ def kernel_of_character(g: FiniteGroup, chi, modulus: int | None = None
     if len(values) != g.order:
         raise NotHomomorphism("need one value per element")
     v = np.array(values, dtype=np.int64) % p
-    if not np.array_equal(v[g.mul], (v[:, None] + v[None, :]) % p):
+    # additive on G x S, S the generating sequence, and zero at e: then
+    # additive on G x G by induction on word length (see ``Character``);
+    # with S empty only the second test sees anything
+    gens = _generating_sequence(g)
+    if v[g.identity] or not np.array_equal(
+            v[g.mul[:, gens]], (v[:, None] + v[gens][None, :]) % p):
         raise NotHomomorphism("values are not additive on the table")
     if not v.any():
         raise NotSurjective("character is zero")

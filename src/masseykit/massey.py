@@ -7,8 +7,11 @@ characters themselves (normalized degree-1 cocycles with trivial
 coefficients are exactly the homomorphisms, so there is no coboundary
 slack), and each inner entry a[i][j] ranges over an affine coset
 (particular solution) + (space of characters) of the linear system
-d(a[i][j]) = -sum_l a[i][l] cup a[l][j].  The status search sweeps those
-cosets layer by layer in j - i; at the final layer the reachable value
+d(a[i][j]) = -sum_l a[i][l] cup a[l][j].  One layered routine, the same
+for every n, sets those cosets one offset j - i at a time: offset-m
+entries meet only superdiagonal ones at offset m + 1 and in the value,
+so one solve gives the coefficients under which offset m + 1 is
+solvable, and these are swept; at the top offset the reachable value
 set is an affine subspace, so vanishing reduces to one linear solve per
 surviving combination.  Every 2-cochain of the search is a cocycle and
 is held by its entries on G x S alone, S a generating set (the
@@ -235,18 +238,6 @@ class MasseyReport:
 # lie in the span of the cup columns' coordinates: one solve on a matrix
 # with 2 dim H^1 columns, which builds no solver.
 
-def _check_char_tuple(group: FiniteGroup, chars: Sequence[Character]) -> int:
-    if len(chars) < 2:
-        raise ValueError("need at least two characters")
-    p = chars[0].modulus
-    for c in chars:
-        if not isinstance(c, Character) or c.twist is not None:
-            raise ValueError("untwisted characters required")
-        if c.group is not group or c.modulus != p:
-            raise ValueError("characters must live on the given group mod p")
-    return p
-
-
 def _value_cups(cx, first, last) -> np.ndarray:
     """Coordinates of chi_first cup psi_b, then of psi_b cup chi_last,
     one column per character basis vector psi_b."""
@@ -270,27 +261,137 @@ def _value_split(cx, cups, value):
 
 def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
                          budget: int = DEFAULT_STATUS_BUDGET) -> MasseyReport:
-    """Decide Undefined / DefinedNotVanishing / Vanishes for 2 <= n <= 4.
+    """Decide Undefined / DefinedNotVanishing / Vanishes for any n >= 2.
 
-    n = 2 is the cup product; n = 3 is fully linear (the value coset is an
-    affine subspace); n = 4 sweeps the middle layer over the feasible
-    affine subspace of character coefficients and solves the final layer
-    linearly for each surviving combination.
+    n = 2 is the cup product.  Otherwise the offsets m = j - i = 2 .. n - 1
+    are set one at a time, each entry to its d1 particular solution plus
+    a combination of the characters.  Offset-m entries meet only
+    superdiagonal ones in the offset-(m + 1) right-hand sides and in the
+    value, so for m < n - 1 one linear solve gives the coefficients under
+    which offset m + 1 is solvable, swept depth first in
+    ``itertools.product`` order; at m = n - 1 the value coset is an affine
+    subspace, which one solve decides (n = 3 sweeps nothing).  ``budget``
+    bounds the combinations enumerated, summed over the swept offsets and
+    checked before each is enumerated; ``BudgetExceeded`` carries the
+    statistics gathered so far.
     """
-    p = _check_char_tuple(group, chars)
     n = len(chars)
-    if n > 4:
-        raise ValueError("products of length at most 4 are supported")
+    if n < 2:
+        raise ValueError("need at least two characters")
+    p = chars[0].modulus
+    for c in chars:
+        if not isinstance(c, Character) or c.twist is not None:
+            raise ValueError("untwisted characters required")
+        if c.group is not group or c.modulus != p:
+            raise ValueError("characters must live on the given group mod p")
     if group.order > STATUS_ORDER_LIMIT:
         raise BudgetExceeded(
             f"status decisions capped at order {STATUS_ORDER_LIMIT}")
     cx = cochain_complex(group, p)
+    z1, z, solve = cx.z1, len(cx.z1), cx.d1_solver.solve
     a = {(i, i + 1): cx.char_vec(c) for i, c in enumerate(chars, 1)}
     if n == 2:
-        return _status_n2(cx, chars, a)
-    if n == 3:
-        return _status_n3(cx, chars, a)
-    return _status_n4(cx, chars, a, budget)
+        status = MasseyStatus.DEFINED_NOT_VANISHING if cx.cokernel_coords(
+            _cup_rhs(cx, a, 1, 3)).any() else MasseyStatus.VANISHES
+        return MasseyReport(status, _witness(cx, chars, a),
+                            {"method": "cup", "solves": 1})
+    swept = n > 3
+    stats = {"method": "layered-linear" if swept else "linear",
+             "solves": n - 1}
+    keys = _offset_keys(n, 2)
+    parts = [solve(_cup_rhs(cx, a, i, j)) for i, j in keys]
+    if any(f is None for f in parts):
+        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
+    a.update(zip(keys, parts))
+
+    def children(base, m, part, kernel):
+        # every feasible combination's system, particular at offset m + 1
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            combo = (part + np.array(coeffs, dtype=np.int64) @ kernel) % p
+            b = dict(base)
+            for k, key in enumerate(_offset_keys(n, m)):
+                b[key] = (base[key] + combo[k * z:(k + 1) * z] @ z1) % p
+            for key in _offset_keys(n, m + 1):
+                b[key] = solve(_cup_rhs(cx, b, *key))
+                if b[key] is None:
+                    raise InternalInconsistency(
+                        f"feasible offset-{m} layer failed a solve above it")
+            yield b, m + 1
+
+    lins, first, combos = {}, None, 0
+    # one iterator per swept offset; no recursion, whatever n is
+    stack = [iter([(a, 2)])]
+    while stack:
+        b, m = next(stack[-1], (None, None))
+        if b is None:
+            stack.pop()
+        elif m < n - 1:
+            if m not in lins:
+                lins[m] = _feasibility_matrix(cx, a, n, m)
+            rhs = [-cx.cokernel_coords(_cup_rhs(cx, b, i, j)) % p
+                   for i, j in _offset_keys(n, m + 1)]
+            feas = gf_core.solve_array(lins[m], np.concatenate(rhs), p)
+            if feas is None and m == 2:
+                stats["certificate"] = \
+                    "third-layer feasibility system inconsistent"
+                return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
+            if feas is None:
+                continue
+            part, kernel = feas
+            key = f"layer{m}_combos"
+            stats[key] = stats.get(key, 0) + p ** len(kernel)
+            combos += p ** len(kernel)
+            if combos > budget:
+                raise BudgetExceeded(f"{combos} feasible middle layers "
+                                     f"exceed budget {budget}", stats)
+            stack.append(children(b, m, part, kernel))
+        else:
+            # "solves" counts the solves before any sweep, "examined" the
+            # values tested inside one
+            key = "examined" if swept else "solves"
+            stats[key] = stats.get(key, 0) + 1
+            if first is None:
+                first, cups = b, _value_cups(cx, a[(1, 2)], a[(n, n + 1)])
+            sol = _value_split(cx, cups, _cup_rhs(cx, b, 1, n + 1))
+            if sol is not None:
+                b[(2, n + 1)] = (b[(2, n + 1)] + sol[0] @ z1) % p
+                b[(1, n)] = (b[(1, n)] + sol[1] @ z1) % p
+                witness = _witness(cx, chars, b, zero_value=True)
+                return MasseyReport(MasseyStatus.VANISHES, witness, stats)
+    if first is None:
+        stats["certificate"] = ("every feasible middle layer fails the "
+                                "feasibility system of a higher layer")
+        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
+    stats["certificate"] = (
+        "all feasible middle layers swept; every final-layer value coset "
+        "misses the coboundaries" if swept else
+        "value coset misses the coboundaries: one inconsistent linear system")
+    return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING,
+                        _witness(cx, chars, first), stats)
+
+
+def _offset_keys(n: int, m: int) -> list:
+    return [(i, i + m) for i in range(1, n + 2 - m)]
+
+
+def _feasibility_matrix(cx, a: dict, n: int, m: int) -> np.ndarray:
+    """The offset-(m + 1) right-hand sides' cokernel coordinates as a
+    linear map of the offset-m character coefficients, a row block per
+    target a[i][j] and a column block per offset-m entry: a[i][j-1] enters
+    through a[i][j-1] cup a[j-1][j], a[i+1][j] through a[i][i+1] cup it."""
+    p, z1, coords = cx.p, cx.z1, cx.cokernel_coords
+    z = len(z1)
+    nrows = cx.d1_solver.rows - cx.d1_solver.rank
+    targets = _offset_keys(n, m + 1)
+    lin = np.zeros((len(targets) * nrows, (len(targets) + 1) * z),
+                   dtype=np.int64)
+    for t, (i, j) in enumerate(targets):
+        rows = slice(t * nrows, (t + 1) * nrows)
+        lin[rows, (t + 1) * z:(t + 2) * z] = (
+            -coords(cx.cup_gs(a[(i, i + 1)], z1).T)) % p
+        lin[rows, t * z:(t + 1) * z] = (
+            -coords(cx.cup_gs(z1, a[(j - 1, j)]).T)) % p
+    return lin
 
 
 def _witness(cx, chars, a: dict, zero_value: bool = False
@@ -306,108 +407,6 @@ def _witness(cx, chars, a: dict, zero_value: bool = False
     if zero_value and cx.cokernel_coords(_cup_rhs(cx, a, 1, n + 1)).any():
         raise InternalInconsistency("vanishing witness has nonzero value")
     return ds
-
-
-def _status_n2(cx, chars, a) -> MasseyReport:
-    stats = {"method": "cup", "solves": 1}
-    vanish = not cx.cokernel_coords(_cup_rhs(cx, a, 1, 3)).any()
-    status = MasseyStatus.VANISHES if vanish \
-        else MasseyStatus.DEFINED_NOT_VANISHING
-    return MasseyReport(status, _witness(cx, chars, a), stats)
-
-
-def _status_n3(cx, chars, a) -> MasseyReport:
-    p, z1 = cx.p, cx.z1
-    f13 = cx.d1_solver.solve(_cup_rhs(cx, a, 1, 3))
-    f24 = cx.d1_solver.solve(_cup_rhs(cx, a, 2, 4))
-    stats = {"method": "linear", "solves": 2}
-    if f13 is None or f24 is None:
-        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    a.update({(1, 3): f13, (2, 4): f24})
-    sol = _value_split(cx, _value_cups(cx, a[(1, 2)], a[(3, 4)]),
-                       _cup_rhs(cx, a, 1, 4))
-    stats["solves"] += 1
-    if sol is None:
-        witness = _witness(cx, chars, a)
-        stats["certificate"] = ("value coset misses the coboundaries: "
-                                "one inconsistent linear system")
-        return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING, witness, stats)
-    s_coeffs, t_coeffs = sol
-    a[(2, 4)] = (f24 + s_coeffs @ z1) % p
-    a[(1, 3)] = (f13 + t_coeffs @ z1) % p
-    witness = _witness(cx, chars, a, zero_value=True)
-    return MasseyReport(MasseyStatus.VANISHES, witness, stats)
-
-
-def _status_n4(cx, chars, a, budget: int) -> MasseyReport:
-    p, z1, solve = cx.p, cx.z1, cx.d1_solver.solve
-    middle = ((1, 3), (2, 4), (3, 5))
-    f13, f24, f35 = (solve(_cup_rhs(cx, a, i, j)) for i, j in middle)
-    stats = {"method": "layered-linear", "solves": 3}
-    if f13 is None or f24 is None or f35 is None:
-        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    a.update({(1, 3): f13, (2, 4): f24, (3, 5): f35})
-    v1, v2, v3, v4 = (a[(i, i + 1)] for i in range(1, 5))
-    z = len(z1)
-    coords = cx.cokernel_coords
-
-    # feasibility of the third layer is linear in the middle-layer
-    # coefficients (beta for a13, gamma for a24, delta for a35):
-    #   c14 = -(chi1 cup a24 + a13 cup chi3), c25 = -(chi2 cup a35 + a24 cup chi4)
-    # unknown order: beta (a13), gamma (a24), delta (a35)
-    nrows = cx.d1_solver.rows - cx.d1_solver.rank
-    lin = np.zeros((2 * nrows, 3 * z), dtype=np.int64)
-    rhs = np.zeros(2 * nrows, dtype=np.int64)
-    lin[:nrows, z:2 * z] = (-coords(cx.cup_gs(v1, z1).T)) % p
-    lin[:nrows, :z] = (-coords(cx.cup_gs(z1, v3).T)) % p
-    rhs[:nrows] = (-coords(_cup_rhs(cx, a, 1, 4))) % p
-    lin[nrows:, 2 * z:] = (-coords(cx.cup_gs(v2, z1).T)) % p
-    lin[nrows:, z:2 * z] = (-coords(cx.cup_gs(z1, v4).T)) % p
-    rhs[nrows:] = (-coords(_cup_rhs(cx, a, 2, 5))) % p
-    feas = gf_core.solve_array(lin, rhs, p)
-    if feas is None:
-        stats["certificate"] = "third-layer feasibility system inconsistent"
-        return MasseyReport(MasseyStatus.UNDEFINED, None, stats)
-    part, kernel = feas
-    kernel = np.asarray(kernel, dtype=np.int64).reshape(len(kernel), 3 * z)
-    n_combos = p ** len(kernel)
-    stats["layer2_combos"] = n_combos
-    if n_combos > budget:
-        raise BudgetExceeded(
-            f"{n_combos} feasible middle layers exceed budget {budget}",
-            stats)
-
-    cups = _value_cups(cx, v1, v4)
-    examined = 0
-    first_defined = None
-    for coeffs in itertools.product(range(p), repeat=len(kernel)):
-        combo = (part + np.array(coeffs, dtype=np.int64) @ kernel) % p
-        b = dict(a)
-        for k, key in enumerate(middle):
-            b[key] = (a[key] + combo[k * z:(k + 1) * z] @ z1) % p
-        f14 = solve(_cup_rhs(cx, b, 1, 4))
-        f25 = solve(_cup_rhs(cx, b, 2, 5))
-        if f14 is None or f25 is None:
-            raise InternalInconsistency(
-                "feasible middle layer failed the third-layer solve")
-        examined += 1
-        b.update({(1, 4): f14, (2, 5): f25})
-        if first_defined is None:
-            first_defined = dict(b)
-        sol = _value_split(cx, cups, _cup_rhs(cx, b, 1, 5))
-        if sol is not None:
-            s_coeffs, t_coeffs = sol
-            b[(2, 5)] = (f25 + s_coeffs @ z1) % p
-            b[(1, 4)] = (f14 + t_coeffs @ z1) % p
-            stats["examined"] = examined
-            witness = _witness(cx, chars, b, zero_value=True)
-            return MasseyReport(MasseyStatus.VANISHES, witness, stats)
-    stats["examined"] = examined
-    witness = _witness(cx, chars, first_defined)
-    stats["certificate"] = (
-        "all feasible middle layers swept; every final-layer value coset "
-        "misses the coboundaries")
-    return MasseyReport(MasseyStatus.DEFINED_NOT_VANISHING, witness, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -238,82 +238,77 @@ def dense_validate_defining_system(ds: msy.DefiningSystem, chars) -> bool:
 def layered_search(group: gr.FiniteGroup, chars, solver=None,
                    budget: int = 2 ** 20) -> msy.MasseyReport:
     """Plain exhaustive layer-by-layer sweep; the oracle for
-    ``massey_status_finite``, n = 2..4.
+    ``massey_status_finite``, any n >= 2.
 
-    Enumerates every defining system outright (each inner entry over its
-    full particular + character coset) and tests every value with a
-    solver of the dense d1 (built here unless one is passed), so
-    it shares neither the generating-set coordinates nor the cokernel
-    test of the library.
+    Enumerates every defining system outright, depth first over the inner
+    positions offset by offset (each entry over its full particular +
+    character coset), and tests every value with a solver of the dense d1
+    (built here unless one is passed), so it shares neither the
+    generating-set coordinates nor the cokernel test of the library.
     """
     p = chars[0].modulus
     n = len(chars)
     solver = solver or gf.PrimeSolver(dense_d1(group, p), p)
     nonid = _nonid(group)
-    vecs = [c.values[nonid] for c in chars]
     z1 = solver.kernel_basis()
     combos = [np.array(c, dtype=np.int64)
               for c in itertools.product(range(p), repeat=len(z1))]
     stats = {"method": "layered-exhaustive", "examined": 0}
+    superdiagonal = {(i, i + 1): c.values[nonid]
+                     for i, c in enumerate(chars, 1)}
+    inner = [(i, i + m) for m in range(2, n) for i in range(1, n + 2 - m)]
 
-    def cupflat(u, w):
-        return np.multiply.outer(u, w).ravel() % p
+    def rhs(a, i, j):
+        """-sum_l a[i][l] cup a[l][j] on every pair, which d(a[i][j])
+        must equal; at (1, n + 1) the value of the system."""
+        return -sum(np.multiply.outer(a[(i, l)], a[(l, j)]).ravel()
+                    for l in range(i + 1, j)) % p
 
-    def solutions(rhs):
-        f = solver.solve(rhs)
+    def solutions(target):
+        f = solver.solve(target)
         if f is None:
             return []
         return [(f + c @ z1) % p for c in combos]
 
-    def witness(inner):
+    def witness(a):
         entries = {(i, i + 1): chm.cochain(group, 1, p, chars[i - 1].values)
                    for i in range(1, n + 1)}
-        for key, vec in inner.items():
-            vals = np.zeros(group.order, dtype=np.int64)
-            vals[nonid] = vec
-            entries[key] = chm.cochain(group, 1, p, vals)
+        for key, vec in a.items():
+            if key[1] - key[0] > 1:
+                vals = np.zeros(group.order, dtype=np.int64)
+                vals[nonid] = vec
+                entries[key] = chm.cochain(group, 1, p, vals)
         ds = msy.DefiningSystem(group, p, n, entries)
         assert dense_validate_defining_system(ds, chars)
         return ds
 
     def systems():
-        """Every defining system: (inner entries, value) pairs."""
-        if n == 2:
-            yield {}, (-cupflat(vecs[0], vecs[1])) % p
-        elif n == 3:
-            v1, v2, v3 = vecs
-            for a13 in solutions((-cupflat(v1, v2)) % p):
-                for a24 in solutions((-cupflat(v2, v3)) % p):
-                    yield ({(1, 3): a13, (2, 4): a24},
-                           (-(cupflat(v1, a24) + cupflat(a13, v3))) % p)
-        else:
-            v1, v2, v3, v4 = vecs
-            for a13 in solutions((-cupflat(v1, v2)) % p):
-                for a24 in solutions((-cupflat(v2, v3)) % p):
-                    for a35 in solutions((-cupflat(v3, v4)) % p):
-                        c14 = (-(cupflat(v1, a24) + cupflat(a13, v3))) % p
-                        c25 = (-(cupflat(v2, a35) + cupflat(a24, v4))) % p
-                        for a14 in solutions(c14):
-                            for a25 in solutions(c25):
-                                yield ({(1, 3): a13, (2, 4): a24,
-                                        (3, 5): a35, (1, 4): a14,
-                                        (2, 5): a25},
-                                       (-(cupflat(v1, a25)
-                                          + cupflat(a13, a35)
-                                          + cupflat(a14, v4))) % p)
+        """Every defining system: (entries, value) pairs.  The stack holds,
+        per inner position set so far, the choices left for it."""
+        stack = [iter([superdiagonal])]
+        while stack:
+            a = next(stack[-1], None)
+            if a is None:
+                stack.pop()
+            elif len(stack) > len(inner):
+                yield a, rhs(a, 1, n + 1)
+            else:
+                key = inner[len(stack) - 1]
+                stack.append(iter([{**a, key: x}
+                                   for x in solutions(rhs(a, *key))]))
 
     found_defined = None
     total = 0
-    for inner, value in systems():
+    for a, value in systems():
         total += 1
         if total > budget:
             raise BudgetExceeded("layered sweep over budget", stats)
         if found_defined is None:
-            found_defined = inner
+            found_defined = a
         if solver.solve(value) is not None:
             stats["examined"] = total
             return msy.MasseyReport(msy.MasseyStatus.VANISHES,
-                                    witness(inner), stats)
+                                    witness(a), stats)
     stats["examined"] = total
     if found_defined is None:
         return msy.MasseyReport(msy.MasseyStatus.UNDEFINED, None, stats)

@@ -156,8 +156,6 @@ def test_stdout_report(capsys):
 def test_massey_bad_shape_is_input_error(capsys):
     q8 = "0,0,1,1,0,0,1,1"
     for args in (["--group", "quaternion8", "--characters", q8],
-                 ["--group", "quaternion8",
-                  "--characters", ";".join([q8] * 5)],
                  ["--presentation", "paper-g", "--prime", "4",
                   "--characters", "1,1;1,0;1,0"],
                  ["--presentation", "paper-g", "--budget", "4",
@@ -166,6 +164,39 @@ def test_massey_bad_shape_is_input_error(capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error:"), err
         assert "Traceback" not in err
+
+
+def test_massey_five_characters_match_presentation_route(tmp_path):
+    # n = 5 is decided by the finite route as by the lift search into
+    # U(6, 2) on the group's presentation
+    q8 = [0, 0, 1, 1, 0, 0, 1, 1]
+    code, finite = run(["massey", "--group", "quaternion8", "--characters",
+                        ";".join([",".join(map(str, q8))] * 5)], tmp_path)
+    assert code == 0
+    g = grp.catalog("quaternion8")
+    pres = g.known_presentation
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "type": "presentation", "generators": pres.generator_count,
+        "relators": [list(r) for r in pres.relators],
+        "characters": [[q8[x] for x in g.generator_map]] * 5}))
+    code, lifted = run(["massey", "--input", str(doc)], tmp_path, "lift.json")
+    assert code == 0
+    assert finite["verdicts"]["status"] == lifted["verdicts"]["status"] \
+        == "Undefined"
+
+
+def test_massey_long_tuple_exceeds_budget(tmp_path, capsys):
+    # 1,200 characters: offset 2 alone leaves 2^1199 combinations, and the
+    # layered search keeps no recursion that grows with n
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "type": "finite-group", "group": "cyclic(4)", "prime": 2,
+        "characters": [[0, 1, 0, 1]] * 1200}))
+    assert cli.main(["massey", "--input", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:"), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from masseykit import cohomology as chm
@@ -379,6 +380,25 @@ def test_kernel_errors():
         gr.kernel_of_character(g, [0, 0, 0, 0], modulus=2)
     with pytest.raises(NotHomomorphism):
         gr.kernel_of_character(g, [0, 1, 1, 0], modulus=2)
+
+
+def test_kernel_checks_the_law_on_every_pair():
+    # additivity is tested on G x S and at e; on cyclic(1), where S is
+    # empty, only the second sees the nonzero value at e
+    with pytest.raises(NotHomomorphism):
+        gr.kernel_of_character(gr.catalog("cyclic(1)"), [1], modulus=2)
+    # every 0/1 list on dihedral(8) against the law on the full table
+    g = gr.catalog("dihedral(8)")
+    refused = 0
+    for vals in itertools.product(range(2), repeat=g.order):
+        v = np.array(vals)
+        if not np.array_equal(v[g.mul], (v[:, None] + v[None, :]) % 2):
+            refused += 1
+            with pytest.raises(NotHomomorphism):
+                gr.kernel_of_character(g, vals, modulus=2)
+        elif v.any():
+            assert gr.kernel_of_character(g, vals, modulus=2).index == 2
+    assert refused == 2 ** 8 - 4
 
 
 def test_kernel_transversal_covers():

@@ -124,15 +124,19 @@ def test_status_triple_with_zero_factor_vanishes():
     assert rep.status is msy.MasseyStatus.VANISHES
 
 
-# (group, p, n, seeded tuples); the exhaustive layered_search decides
-# every value with dense d1 solves alone, sharing no code with the
-# generating-set coordinates or the cokernel test of massey_status_finite
+# (group, p, n, seeded tuples, or None for every tuple); the exhaustive
+# layered_search decides every value with dense d1 solves alone, sharing
+# no code with the generating-set coordinates or the cokernel test of
+# massey_status_finite.  At n = 5 dim H^1 = 1 leaves at most p^9 systems
+# per tuple
 ORACLE_CASES = [
     ("cyclic(4)", 2, 3, 6), ("product(2,2)", 2, 3, 6), ("u3(2)", 2, 3, 6),
     ("quaternion8", 2, 3, 6),
     ("u3(3)", 3, 3, 20), ("product(3,9)", 3, 3, 20),
     ("product(4,4)", 2, 4, 20), ("dihedral(16)", 2, 4, 20),
     ("cyclic(3)", 2, 4, 1),     # H^1 = 0: an empty middle layer
+    ("cyclic(4)", 2, 5, None), ("cyclic(2)", 2, 5, None),
+    ("cyclic(3)", 3, 5, None),
 ]
 
 
@@ -143,7 +147,9 @@ def test_status_matches_layered_search():
         g = gr.catalog(name)
         cs = chm.characters_of(g, p)
         dense = gf.PrimeSolver(dense_d1(g, p), p)
-        tuples = [[rng.choice(cs) for _ in range(n)] for _ in range(count)]
+        tuples = ([list(t) for t in itertools.product(cs, repeat=n)]
+                  if count is None else
+                  [[rng.choice(cs) for _ in range(n)] for _ in range(count)])
         if name == "product(4,4)":
             # a fourfold DefinedNotVanishing tuple the seed does not reach
             tuples.append([cs[1]] * 4)
@@ -159,6 +165,49 @@ def test_status_matches_layered_search():
                     fast.witness).is_zero_class()
     assert {s for _, s in seen} == set(msy.MasseyStatus)
     assert (4, msy.MasseyStatus.DEFINED_NOT_VANISHING) in seen
+    assert {(5, msy.MasseyStatus.UNDEFINED), (5, msy.MasseyStatus.VANISHES)} \
+        <= seen
+
+
+def test_status_matches_lift_search_at_n5():
+    # n = 5 against lift_search into U(6, 2) and its corner-free quotient,
+    # on a seeded sample per group and on the tuples whose offset-3
+    # feasibility holds while every feasible middle layer fails at offset
+    # 4.  Exhaustive n = 5 scans at p = 2 of the catalog groups of order
+    # <= 32 (all but elementary(2,5)) find no DefinedNotVanishing tuple,
+    # so that verdict waits for the corner-free quotient of U(6, 2),
+    # above the order cap
+    rng = random.Random(5)
+    shape = ut.UniShape(6, 2)
+    late = {"dihedral(8)": [(0, 1, 2, 1, 2), (1, 2, 1, 2, 1)],
+            "product(2,4)": [(0, 1, 1, 1, 1), (1, 1, 1, 1, 1)]}
+    counts = collections.Counter()
+    for name in ("dihedral(8)", "quaternion8", "product(2,4)"):
+        g = gr.catalog(name)
+        cs = chars_of(g)
+        tuples = [[rng.choice(cs) for _ in range(5)] for _ in range(60)]
+        tuples += [[cs[i] for i in idx] for idx in late.get(name, [])]
+        for tup in tuples:
+            rep = msy.massey_status_finite(g, tup)
+            rows = char_rows_for(g, tup)
+            ubar = msy.lift_search(g.known_presentation, rows,
+                                   shape.barred_shape(), budget=2 ** 60)
+            u = msy.lift_search(g.known_presentation, rows, shape,
+                                budget=2 ** 60)
+            assert rep.defined == bool(ubar), (name, rep.search_stats)
+            assert rep.vanishes == bool(u), (name, rep.search_stats)
+            counts[rep.status] += 1
+            if rep.witness is not None:
+                assert msy.validate_defining_system(rep.witness, tup)
+            for lift in ubar[:1]:
+                ds = msy.defining_system_from_lift(lift, g)
+                assert msy.validate_defining_system(ds, tup)
+            for lift in u[:1]:
+                ds = msy.defining_system_from_lift(lift, g)
+                assert msy.validate_defining_system(ds, tup)
+                assert msy.defining_system_value(ds).is_zero_class()
+    assert counts == {msy.MasseyStatus.UNDEFINED: 166,
+                      msy.MasseyStatus.VANISHES: 18}
 
 
 def test_value_split_matches_dense_rank():
@@ -207,12 +256,14 @@ def test_value_split_matches_dense_rank():
     assert misses
 
 
-# (group, p, character indices) of every status at n = 2, 3 and 4
+# (group, p, character indices) of every status at n = 2, 3 and 4, and
+# of both statuses seen at n = 5 (an Undefined one decided above offset 3)
 STATUS_TUPLES = [
     ("quaternion8", 2, (0, 0)), ("quaternion8", 2, (1, 1)),
     ("quaternion8", 2, (0, 1, 1)), ("cyclic(3)", 3, (1, 1, 1)),
     ("quaternion8", 2, (0, 0, 0)), ("quaternion8", 2, (0, 0, 1, 1)),
     ("u3(2)", 2, (1, 2, 1, 2)), ("quaternion8", 2, (0, 0, 0, 0)),
+    ("u3(2)", 2, (1, 2, 1, 2, 1)), ("quaternion8", 2, (0, 0, 0, 0, 0)),
 ]
 
 
@@ -233,7 +284,8 @@ def test_status_builds_no_full_bar_cochain(monkeypatch):
         rep = msy.massey_status_finite(g, [cs[i] for i in idx])
         seen.add((len(idx), rep.status))
     assert seen == {(n, s) for n in (2, 3, 4) for s in msy.MasseyStatus} \
-        - {(2, msy.MasseyStatus.UNDEFINED)}
+        - {(2, msy.MasseyStatus.UNDEFINED)} \
+        | {(5, msy.MasseyStatus.UNDEFINED), (5, msy.MasseyStatus.VANISHES)}
 
 
 def _non_cocycle(rng, g, p):
@@ -360,6 +412,22 @@ def test_status_budget():
     zero = chars_of(g)[0]
     with pytest.raises(BudgetExceeded):
         msy.massey_status_finite(g, [zero] * 4, budget=16)
+
+
+def test_status_budget_sums_every_swept_offset():
+    # the all-zero fivefold tuple of Z/2: offset 2 has 2^4 feasible
+    # combinations, within a budget of 16, and the first offset-3 sweep
+    # adds 2^3 more
+    g = gr.catalog("cyclic(2)")
+    zero = chars_of(g)[0]
+    with pytest.raises(BudgetExceeded) as info:
+        msy.massey_status_finite(g, [zero] * 5, budget=16)
+    assert str(info.value) == "24 feasible middle layers exceed budget 16"
+    assert info.value.stats == {"method": "layered-linear", "solves": 4,
+                                "layer2_combos": 16, "layer3_combos": 8}
+    rep = msy.massey_status_finite(g, [zero] * 5, budget=24)
+    assert rep.vanishes
+    assert rep.search_stats["examined"] == 1
 
 
 # ---------------------------------------------------------------------------
