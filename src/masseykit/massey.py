@@ -32,19 +32,22 @@ superdiagonal entries of every generator image to the character values
 and solves for the remaining entries one offset j - i at a time: with
 the lower offsets fixed, every relator coordinate at offset k is affine
 in the offset-k entries, with the exponent-sum matrix as linear part.
-The search stops at the first offset where no partial lift extends.
-The top two offsets t - 1, t (for t >= 3) are solved as one affine
-system, since offset-(t-1) entries reach offset t only through the fixed
-superdiagonal: one row reduction decides every partial lift, and the
-completions at offset t - 1 are never expanded.  Relators are evaluated
-all at once, in log-depth pairwise products.  The lifts are checked by a
-factored, exact test: every move left open is at offset t - 1 or t,
-where the relators are affine with one linear part for every partial
-lift, so it suffices to check each partial lift and one move along each
-direction, not every lift.  The search returns its lifts in that
-factored form, a ``LiftSet``: its length and truth value (the verdicts
-of the lift route) cost no expansion, and ``UniLift`` objects are built
-only for the lifts a caller reads.
+One pairwise routine serves every offset, as the layered routine does
+on the finite route: offsets m and m + 1 are solved as one affine
+system, since offset-m entries reach offset m + 1 only through the
+fixed superdiagonal, so one row reduction decides which partial lifts
+extend and gives their feasible moves at offset m.  Below the top only
+those moves are expanded, and the search stops at the first offset
+where no partial lift extends; at the top they are kept as directions,
+with the top offset's Hom(G, Z/p) shifts among them.  Relators are
+evaluated all at once, in log-depth pairwise products.  The lifts are
+checked by a factored, exact test: every direction is at offset t - 1
+or t, where the relators are affine with one linear part for every
+partial lift, so it suffices to check each partial lift and one move
+along each direction, not every lift.  The search returns its lifts in
+that factored form, a ``LiftSet``: its length and truth value (the
+verdicts of the lift route) cost no expansion, and ``UniLift`` objects
+are built only for the lifts a caller reads.
 
 Sign convention: the value of a defining system is the class of
 -sum_{l=2..n} a[1][l] cup a[l][n+1]; the obstruction to lifting a
@@ -58,6 +61,7 @@ from __future__ import annotations
 import collections.abc
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -123,6 +127,13 @@ __all__ = [
 DEFAULT_STATUS_BUDGET = 2 ** 20
 DEFAULT_LIFT_BUDGET = 2 ** 20
 STATUS_ORDER_LIMIT = 32
+
+
+def _about(count: int) -> str:
+    """A count in full up to 20 digits, else as about 10^k."""
+    if count < 10 ** 20:
+        return str(count)
+    return f"about 10^{round(math.log10(count))}"
 
 
 class MasseyStatus(enum.Enum):
@@ -342,8 +353,9 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
             stats[key] = stats.get(key, 0) + p ** len(kernel)
             combos += p ** len(kernel)
             if combos > budget:
-                raise BudgetExceeded(f"{combos} feasible middle layers "
-                                     f"exceed budget {budget}", stats)
+                raise BudgetExceeded(f"{_about(combos)} feasible middle "
+                                     f"layers exceed budget {_about(budget)}",
+                                     stats)
             stack.append(children(b, m, part, kernel))
         else:
             # "solves" counts the solves before any sweep, "examined" the
@@ -526,33 +538,25 @@ def _lifts_from_packed(pres: Presentation, shape: UniShape, packed,
     return lifts
 
 
-def _shifts(kernel, ncols: int, p: int):
-    """Every combination of kernel vectors at ``ncols`` positions, as a
-    (p^dims, generators, ncols) array of unreduced entries; the coefficient
-    tuples over (kernel vector, position) run in ``itertools.product``
-    order."""
-    dims = len(kernel) * ncols
-    coeffs = np.indices((p,) * dims).reshape(dims, p ** dims).T
-    return np.einsum("mdc,dg->mgc",
-                     coeffs.reshape(p ** dims, len(kernel), ncols), kernel)
+def _placed(moves, kernel, cols, width: int, p: int):
+    """Moves given by their coefficients over (Hom(G, Z/p) basis vector,
+    position) pairs, as a (moves, generators, width) array of full-width
+    packed shifts: each basis vector's combination at each of the
+    positions ``cols``, zero elsewhere."""
+    shifts = np.zeros((len(moves), kernel.shape[1], width), dtype=np.int64)
+    shifts[:, :, cols] = _mod_matmul(
+        kernel.T, moves.reshape(len(moves), len(kernel), len(cols)), p)
+    return shifts
 
 
-def _completions(lifts, cols, shifts, p: int):
-    """Every row of a packed batch once per shift, in row-major order,
-    with the shift added to its entries at ``cols``."""
-    out = np.repeat(lifts, len(shifts), axis=0)
-    out[:, :, cols] = ((lifts[:, :, cols][:, None] + shifts) % p).reshape(
-        len(out), lifts.shape[1], len(cols))
-    return out
-
-
-def _units(kernel, ncols: int):
-    """One kernel vector at one of ``ncols`` positions, for every pair,
-    as a (kernel vectors x ncols, generators, ncols) array in the
-    (kernel vector, position) order of ``_shifts``."""
-    return np.einsum("dg,ce->dcge", kernel,
-                     np.eye(ncols, dtype=np.int64)).reshape(
-                         len(kernel) * ncols, kernel.shape[1], ncols)
+def _expand(lifts, directions, p: int):
+    """Every row of a packed batch moved by every combination of the
+    full-width packed ``directions``, one direction at a time."""
+    for b in directions:
+        moved = lifts[:, None] + np.arange(p)[:, None, None] * b
+        moved %= p
+        lifts = moved.reshape(-1, *lifts.shape[1:])
+    return lifts
 
 
 def _mod_matmul(a, b, p: int):
@@ -567,38 +571,34 @@ def _mod_matmul(a, b, p: int):
 
 class LiftSet(collections.abc.Sequence):
     """The lifts ``lift_search`` found, kept packed and factored.  Every
-    lift is one of the partial lifts, completed by particular solutions
-    up to the top offset with free entries, plus a combination of the
-    ``directions`` (full-width packed vectors: a kernel vector of the
-    joint solve of the two top offsets, with its matching top change;
-    none when the top offset is 2), plus a Hom(G, Z/p) shift at each of
-    the top offset's positions ``cols``.
+    lift is one of the partial lifts, which carry particular solutions up
+    to the top offset with free entries, plus a combination of the
+    ``directions``: full-width packed moves, each a kernel vector of the
+    pairwise solve of the top two offsets (its offset t - 1 entries with
+    the top change they force), or one Hom(G, Z/p) basis vector at one
+    top position.
 
-    ``len`` (rows x p^(directions + kernel dims x cols)) and ``bool``
-    (rows > 0) expand nothing; past ``sys.maxsize``, ``len`` raises
-    ``OverflowError`` as for any Python sequence, and ``bool`` still
-    answers.  Indexing, negative indices, slicing and iteration give
-    ``UniLift`` objects in the search's lexicographic order over
-    (generator, free position): each read expands the rows along one
-    direction at a time, then over the top shifts, sorts them in numpy
-    and builds the lifts it returns, one ``UniMatrix`` per distinct image
-    among them.  Nothing built is kept, so a lift read twice is built
-    twice.
+    ``len`` (rows x p^directions) and ``bool`` (rows > 0) expand nothing;
+    past ``sys.maxsize``, ``len`` raises ``OverflowError`` as for any
+    Python sequence, and ``bool`` still answers.  Indexing, negative
+    indices, slicing and iteration give ``UniLift`` objects in the
+    search's lexicographic order over (generator, free position): each
+    read expands the rows along one direction at a time, sorts them in
+    numpy and builds the lifts it returns, one ``UniMatrix`` per distinct
+    image among them.  Nothing built is kept, so a lift read twice is
+    built twice.
     """
 
     def __init__(self, presentation: Presentation, shape: UniShape,
-                 characters, partials, directions, cols, kernel):
+                 characters, partials, directions):
         self.presentation = presentation
         self.shape = shape
         self.characters = characters
         self._partials = partials
         self._directions = directions
-        self._cols = cols
-        self._kernel = kernel
 
     def _count(self) -> int:
-        dims = len(self._directions) + len(self._kernel) * len(self._cols)
-        return len(self._partials) * self.shape.prime ** dims
+        return len(self._partials) * self.shape.prime ** len(self._directions)
 
     def __len__(self) -> int:
         return self._count()
@@ -614,13 +614,7 @@ class LiftSet(collections.abc.Sequence):
         """Every lift's packed entries, in order."""
         if not self:
             return self._partials
-        p = self.shape.prime
-        lifts = self._partials
-        for b in self._directions:
-            lifts = ((lifts[:, None] + np.arange(p)[:, None, None] * b)
-                     % p).reshape(-1, *lifts.shape[1:])
-        lifts = _completions(lifts, self._cols,
-                             _shifts(self._kernel, len(self._cols), p), p)
+        lifts = _expand(self._partials, self._directions, self.shape.prime)
         if len(lifts) > 1:
             # the superdiagonal is constant, so this is the order over
             # (generator, free position)
@@ -689,87 +683,76 @@ def lift_candidate_count(pres: Presentation, shape: UniShape) -> int:
     return shape.prime ** (free * pres.generator_count)
 
 
-def _extend(pres: Presentation, shape: UniShape, lifts, cols, solver):
-    """The partial lifts that extend at one offset, whose positions are
-    ``cols``, each completed there by its particular solution.  With the
-    lower offsets fixed, the offset's relator coordinates are the
-    exponent-sum matrix applied to its entries, position by position,
-    plus the constants read off with those entries at 0."""
-    p = shape.prime
-    const = _relator_values(pres, shape, lifts)[:, :, cols]
-    # solver.transform applied to -const, position by position: the
-    # system is solvable iff the rows past the rank vanish, and the first
-    # rows are then the pivot entries of a particular solution.  Each sum
-    # has one product below p^2 per relator, which the solver, built on
-    # those rows, keeps below 2^63
-    y = solver.transform @ -const % p
-    solvable = ~y[:, solver.rank:].any(axis=(1, 2))
-    lifts = lifts[solvable]
-    part = np.zeros((len(lifts), lifts.shape[1], len(cols)), dtype=np.int64)
-    part[:, solver.pivots] = y[solvable, :solver.rank]
-    lifts[:, :, cols] = part
-    return lifts
+def _extend(pres: Presentation, shape: UniShape, lifts, low, top, solver,
+            kernel):
+    """Offsets m and m + 1 solved as one affine system, on partial lifts
+    that are fixed below offset m, carry particular solutions at offset m
+    (positions ``low``, none for m = 1: the superdiagonal is fixed) and
+    zeros at offset m + 1 (positions ``top``).
 
-
-def _extend_top_two(pres: Presentation, shape: UniShape, lifts, low, top,
-                    solver, kernel):
-    """Offsets t - 1 and t solved as one affine system, for a top offset
-    t >= 3 with positions ``top``, on partial lifts that carry particular
-    solutions at offset t - 1 (positions ``low``).
-
-    Moving the offset-(t-1) entries by s in Hom(G, Z/p)^low leaves every
-    relator coordinate below offset t alone and moves those at offset t
-    by L s, with one linear map L for every partial lift: since
-    2(t - 1) > t, offset-(t-1) entries reach offset t only through
+    With the offsets below m + 1 fixed, the offset-(m+1) relator
+    coordinates are the exponent-sum matrix applied to the offset-(m+1)
+    entries, position by position, plus constants c read off with those
+    entries at 0.  Moving the offset-m entries by s in Hom(G, Z/p)^low
+    leaves every relator coordinate below offset m + 1 alone and moves
+    those at m + 1 by L s, with one linear map L for every partial lift:
+    since 2m > m + 1, offset-m entries reach offset m + 1 only through
     products with superdiagonal entries, which the characters fix, and
     the same holds in inverses.  L is read off the relators on the first
     partial lift moved along each unit direction, in the same pass that
-    gives every partial lift's offset-t constants c.  With R the exponent
-    solver's transform rows past its rank, a partial lift extends iff
-    R(c + L s) = 0 has a solution s; one row reduction of
-    [RL | every partial lift's -Rc] decides them all and gives each a
-    particular s, with ker(RL) the further moves.
+    gives every partial lift's c.  With R the exponent solver's transform
+    rows past its rank, a partial lift extends iff R(c + L s) = 0 has a
+    solution s; one row reduction of [RL | every partial lift's -Rc]
+    decides them all and gives each a particular s, with ker(RL) the
+    further moves.  With nothing to move (m = 1, or Hom(G, Z/p) = 0) a
+    partial lift extends iff Rc = 0, and nothing is row reduced.
 
-    Returns the partial lifts that extend, with s applied and their top
-    particular solutions set, and one full-width packed direction per
-    ker(RL) basis vector k: k at the offset-(t-1) positions, with the top
-    particular solution of -L k.
+    Returns the partial lifts that extend, with s applied and their
+    offset-(m+1) particular solutions set, and one full-width packed
+    direction per ker(RL) basis vector k: k at the offset-m positions,
+    with the offset-(m+1) particular solution of -L k.
     """
-    p = shape.prime
-    gens = lifts.shape[1]
-    units = _units(kernel, len(low))
-    dims = len(units)
-    probes = _completions(lifts[:1], low, units, p)
-    values = _relator_values(
-        pres, shape, np.concatenate([lifts, probes]))[:, :, top]
-    const, moved = values[:len(lifts)], values[len(lifts):]
-    # the transform applied to -c and to L, position by position, with
-    # sums bounded as in _extend
-    y = solver.transform @ -const % p
-    tl = solver.transform @ (moved - const[:1]) % p
-    rank = solver.rank
+    p, rank = shape.prime, solver.rank
+    count, gens, width = lifts.shape
+    dims = len(kernel) * len(low)
+    batch = lifts
+    if dims:
+        # the first partial lift moved along each unit move
+        batch = np.concatenate([lifts, (lifts[:1] + _placed(
+            np.eye(dims, dtype=np.int64), kernel, low, width, p)) % p])
+    # the transform applied to -c and to minus the probes' coordinates,
+    # position by position: each sum has one product below p^2 per
+    # relator, which the solver, built on those rows, keeps below 2^63
+    y = solver.transform @ -_relator_values(pres, shape, batch)[:, :, top] % p
     past = (len(pres.relators) - rank) * len(top)
-    rl = tl[:, rank:].reshape(dims, past).T
-    rhs = y[:, rank:].reshape(len(lifts), past).T
-    ech, pivots, _ = gf_core.rref_array(np.concatenate([rl, rhs], axis=1), p)
+    rhs = y[:count, rank:].reshape(count, past).T
+    if dims:
+        tl = (y[:1] - y[count:]) % p   # T L, a row per unit move
+        rl = tl[:, rank:].reshape(dims, past).T
+        ech, pivots, _ = gf_core.rref_array(np.concatenate([rl, rhs], axis=1),
+                                            p)
+        pivots = [c for c in pivots if c < dims]
+    else:
+        ech, pivots = rhs, []
     # rows past RL's rank hold the rows of the left kernel of RL applied
     # to the right-hand sides
-    pivots = [c for c in pivots if c < dims]
     solvable = ~ech[len(pivots):, dims:].any(axis=0)
-    lifts, y = lifts[solvable], y[solvable]
+    lifts, y = lifts[solvable], y[:count][solvable]
+    # the offset-(m+1) particular solutions before any move
+    part = np.zeros((len(lifts), gens, len(top)), dtype=np.int64)
+    part[:, solver.pivots] = y[:, :rank]
+    lifts[:, :, top] = part
+    if not dims:
+        return lifts, lifts[:0]
     moves = np.zeros((len(lifts), dims), dtype=np.int64)
     moves[:, pivots] = ech[:len(pivots), dims:][:, solvable].T
     moves = np.concatenate(
         [moves, gf_core._kernel_from_echelon(ech, pivots, dims, p)])
-    # each move as offset-(t-1) entries and as its change T L s of the
-    # top solve's pivot entries
-    shifts = np.zeros((len(moves), gens, len(shape.positions)),
-                      dtype=np.int64)
-    shifts[:, :, low] = _mod_matmul(
-        kernel.T, moves.reshape(len(moves), len(kernel), len(low)), p)
+    # each move as offset-m entries and as its change -T L s of the
+    # offset-(m+1) solve's pivot entries
+    shifts = _placed(moves, kernel, low, width, p)
     change = _mod_matmul(moves, tl[:, :rank].reshape(dims, rank * len(top)),
                          p).reshape(len(moves), rank, len(top))
-    change[:len(lifts)] -= y[:, :rank]
     part = np.zeros((len(moves), gens, len(top)), dtype=np.int64)
     part[:, solver.pivots] = -change % p
     shifts[:, :, top] = part
@@ -782,37 +765,38 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     ``LiftSet``.
 
     Per generator the superdiagonal is frozen to the character values;
-    the other entries are solved for one offset k = j - i at a time, up
-    to the top offset t with free entries (n, or n - 1 in the barred
+    the other entries are solved for one offset j - i at a time, up to
+    the top offset t with free entries (n, or n - 1 in the barred
     quotient).  With the lower offsets fixed, the offset-k coordinates of
     a relator are the exponent-sum matrix applied to the offset-k
     entries, position by position, plus a constant read off by evaluating
-    the relators with those entries at 0.  So every partial lift extends
-    by one particular solution plus Hom(G, Z/p) (the kernel of that
-    matrix) at each offset-k position, or not at all; the search returns
-    an empty set at the first offset where no partial lift extends.  That
+    the relators with those entries at 0.  So each partial lift extends
+    at offset k by one particular solution plus Hom(G, Z/p) (the kernel
+    of that matrix) at each offset-k position, or not at all.  That
     matrix's solver and kernel are built once per (presentation, p) and
-    reused by later searches.  Below offset t - 1 every completion is
-    carried to the next offset.  For t >= 3 the partial lifts at offset
-    t - 1 keep their particular solutions, and offsets t - 1 and t are
-    solved together as one affine system (see ``_extend_top_two``), so
-    nothing at offset t - 1 is expanded; for t = 2 offset t is solved
-    alone.  The partial lifts that extend are kept with their top
-    particular solutions, and their completions (along the joint
-    system's kernel, and by Hom(G, Z/p) at the top) are left to the
-    ``LiftSet``.
+    reused by later searches.
+
+    One routine, ``_extend``, solves offsets m and m + 1 as one affine
+    system for every m = 1 .. t - 1: it keeps the partial lifts for which
+    some move of their offset-m entries along Hom(G, Z/p) makes offset
+    m + 1 solvable, and returns the feasible moves as a particular move
+    per partial lift plus directions.  Below the top only those feasible
+    moves are expanded, so no completion that fails the next offset is
+    ever evaluated; the search returns an empty set at the first offset
+    where no partial lift extends.  At the top the directions are kept,
+    with one Hom(G, Z/p) basis vector at each top position among them,
+    and expanding them is left to the ``LiftSet``.
 
     The lifts are verified from their packed entries (relators,
     superdiagonal, character count) by one factored check before the
-    set is returned.  Every move the ``LiftSet`` makes is at offset
-    t - 1 or t, so it changes no relator coordinate below t - 1; those at
-    t - 1 and t are affine in the move, with a linear part that depends
-    only on the superdiagonal, the same for every partial lift (the top
-    offset is central: an element z carried by it multiplies as
+    set is returned.  Every direction the ``LiftSet`` moves along is at
+    offset t - 1 or t, so it changes no relator coordinate below t - 1;
+    those at t - 1 and t are affine in the move, with a linear part that
+    depends only on the superdiagonal, the same for every partial lift
+    (the top offset is central: an element z carried by it multiplies as
     a z = z a = a + z).  The check runs on every partial lift and on the
-    first of them moved along each direction and along each unit top
-    shift (one kernel vector at one top position): if those pass, every
-    lift does.  With no free offset the one candidate is checked.
+    first of them moved along each direction: if those pass, every lift
+    does.  With no free offset the one candidate is checked.
 
     ``len`` and ``bool`` of the result cost nothing more; indexing,
     slicing and iteration build ``UniLift`` objects for the lifts read,
@@ -828,7 +812,7 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
     total = lift_candidate_count(pres, shape)
     if total > budget:
         raise BudgetExceeded(
-            f"{total} candidates exceed budget {budget}",
+            f"{_about(total)} candidates exceed budget {_about(budget)}",
             {"candidates": total})
     gens = pres.generator_count
     positions = shape.positions
@@ -840,30 +824,22 @@ def lift_search(pres: Presentation, char_rows, shape: UniShape,
         lifts[0, :, positions.index((i, i + 1))] = rows[i - 1]
     offset_cols = [[c for c, (i, j) in enumerate(positions) if j - i == k]
                    for k in sorted({j - i for (i, j) in positions} - {1})]
-    joint = len(offset_cols) > 1
-    directions = lifts[:0]
-    cols = []   # the last solved offset's columns
-    for step in offset_cols[:-1] if joint else offset_cols:
-        if cols:
-            lifts = _completions(lifts, cols, _shifts(kernel, len(cols), p),
-                                 p)
-        cols = step
-        lifts = _extend(pres, shape, lifts, cols, solver)
+    low, directions = [], lifts[:0]
+    for top in offset_cols:
+        lifts, directions = _extend(pres, shape,
+                                    _expand(lifts, directions, p), low, top,
+                                    solver, kernel)
         if not len(lifts):
-            return LiftSet(pres, shape, chars, lifts, directions, cols,
-                           kernel)
-    if joint:
-        low, cols = cols, offset_cols[-1]
-        lifts, directions = _extend_top_two(pres, shape, lifts, low, cols,
-                                            solver, kernel)
-        if not len(lifts):
-            return LiftSet(pres, shape, chars, lifts, directions, cols,
-                           kernel)
+            return LiftSet(pres, shape, chars, lifts, directions)
+        low = top
+    # and one Hom(G, Z/p) basis vector at each top position
+    directions = np.concatenate([directions, _placed(
+        np.eye(len(kernel) * len(low), dtype=np.int64), kernel, low,
+        len(positions), p)])
     # the factored check (see the docstring)
-    _check_lifts(pres, shape, np.concatenate([
-        lifts, (lifts[:1] + directions) % p,
-        _completions(lifts[:1], cols, _units(kernel, len(cols)), p)]), chars)
-    return LiftSet(pres, shape, chars, lifts, directions, cols, kernel)
+    _check_lifts(pres, shape,
+                 np.concatenate([lifts, (lifts[:1] + directions) % p]), chars)
+    return LiftSet(pres, shape, chars, lifts, directions)
 
 
 def defining_system_from_lift(lift: UniLift,

@@ -197,6 +197,9 @@ def test_massey_long_tuple_exceeds_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded:"), err
     assert "Traceback" not in err
+    # the 361-digit combination count is printed as a power of ten
+    assert len(err.splitlines()) == 1 and len(err) < 120, err
+    assert "about 10^361" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -430,6 +430,20 @@ def test_status_budget_sums_every_swept_offset():
     assert rep.search_stats["examined"] == 1
 
 
+def test_budget_message_rounds_counts_past_20_digits():
+    # n characters of Z/4 leave 2^(n-1) offset-2 combinations: 2^66 has
+    # 20 digits and is printed in full, 2^69 has 21 and is rounded, while
+    # the statistics keep every count exactly
+    g = gr.catalog("cyclic(4)")
+    chi = chm.character(g, [0, 1, 0, 1], 2)
+    for n, shown in ((67, str(2 ** 66)), (70, "about 10^21")):
+        with pytest.raises(BudgetExceeded) as info:
+            msy.massey_status_finite(g, [chi] * n)
+        assert str(info.value) == \
+            f"{shown} feasible middle layers exceed budget 1048576"
+        assert info.value.stats["layer2_combos"] == 2 ** (n - 1)
+
+
 # ---------------------------------------------------------------------------
 # lift search
 # ---------------------------------------------------------------------------
@@ -628,8 +642,7 @@ def test_lift_set_length_and_truth_build_nothing(monkeypatch):
         raise AssertionError("expanded or built")
 
     monkeypatch.setattr(ut.UniMatrix, "__post_init__", refuse)
-    monkeypatch.setattr(msy, "_shifts", refuse)
-    monkeypatch.setattr(msy, "_completions", refuse)
+    monkeypatch.setattr(msy, "_expand", refuse)
     assert (len(barred), len(lifts)) == (256, 4096)
     assert barred and lifts
     with pytest.raises(AssertionError, match="expanded or built"):
@@ -886,6 +899,33 @@ def test_lift_search_stops_at_the_first_infeasible_offset(monkeypatch):
         calls.clear()
         assert not msy.lift_search(pres, rows, shape)
         assert calls == [shape]
+
+
+def test_lift_search_evaluates_only_feasible_completions(monkeypatch):
+    # zero characters of u3(2) into U(6, 2): offsets m and m + 1 are
+    # solved together for m = 1 .. 4, and only the feasible offset-m moves
+    # are expanded.  Each batch is the partial lifts plus one unit probe
+    # per (Hom(G, Z/2) basis vector, offset-m position); the last is the
+    # factored check.  Expanding every completion below the top instead
+    # evaluates all 2^(2 x 4) offset-2 and 2^(2 x 4 + 2 x 3) offset-3
+    # completions: batches [1, 256, 16384, 5188, 2710]
+    g = gr.catalog("u3(2)")
+    pres = g.known_presentation
+    sizes = []
+    relator_values = msy._relator_values
+
+    def counting(pres, shape, packed):
+        sizes.append(len(packed))
+        return relator_values(pres, shape, packed)
+
+    monkeypatch.setattr(msy, "_relator_values", counting)
+    lifts = msy.lift_search(pres, [[0, 0]] * 5, ut.UniShape(6, 2),
+                            budget=2 ** 60)
+    assert sizes == [1, 9, 262, 5188, 2710]
+    # the digest of the search that expanded every completion
+    assert _lift_digest(lifts) == (
+        173056,
+        "252b3882237e425ad09f3f7fef902a47f1e49c74d0f33662da0b0186171b201d")
 
 
 def test_lift_search_at_a_large_prime():
