@@ -87,6 +87,9 @@ __all__ = [
 
 H2_ORDER_LIMIT = 32
 
+# the most bytes a dense array of a status decision may take
+_BYTE_BOUND = 2 ** 28
+
 
 # ---------------------------------------------------------------------------
 # coefficient twists
@@ -173,22 +176,29 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus,
-                       (self.values + other.values) % self.modulus, self.twist)
+        m = self.modulus
+        return Cochain(self.group, self.degree, m,
+                       (_exact(self.values, 2 * (m - 1)) + other.values) % m,
+                       self.twist)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus,
-                       (self.values - other.values) % self.modulus, self.twist)
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "Cochain":
-        return Cochain(self.group, self.degree, self.modulus,
-                       (self.values * int(c)) % self.modulus, self.twist)
+        m = self.modulus
+        return Cochain(self.group, self.degree, m,
+                       (_exact(self.values, (m - 1) ** 2) * (int(c) % m)) % m,
+                       self.twist)
 
     def _compat(self, other: "Cochain"):
         if (self.group is not other.group or self.degree != other.degree
                 or self.modulus != other.modulus):
             raise ValueError("cochains are not compatible")
+
+
+def _exact(values: np.ndarray, largest: int) -> np.ndarray:
+    """``values`` in Python integers when ``largest`` would wrap int64."""
+    return values.astype(object) if largest >= 2 ** 63 else values
 
 
 def zero_cochain(group: FiniteGroup, degree: int, modulus: int,
@@ -210,7 +220,9 @@ class CohomClass:
 
     def __post_init__(self):
         rep = self.representative
-        if rep.degree <= 2 and not coboundary(rep).is_zero():
+        if rep.degree <= 2 and _dc(
+                rep.group, rep.values, rep.degree, rep.modulus,
+                _generating_sequence(rep.group), rep.twist).any():
             raise NotACocycle("representative has nonzero coboundary")
 
     @property
@@ -233,26 +245,19 @@ class Character(Cochain):
     """Degree-1 special case: a (crossed) homomorphism to Z/m.
 
     With a twist theta the defining law is chi(gh) = chi(g) +
-    theta(g) chi(h); trivial twist is plain additivity.  The law is
-    checked on G x S only, S the generating sequence of the table: then
-    it holds on all of G x G by induction on the word length of h, since
-    chi(e) = 0 and, for h = ws, chi(gws) = chi(gw) + theta(gw) chi(s)
-    = chi(g) + theta(g) (chi(w) + theta(w) chi(s)) = chi(g) + theta(g)
-    chi(h), theta being multiplicative.
+    theta(g) chi(h), i.e. d chi = 0; trivial twist is plain additivity.
+    The law is checked by ``_dc`` on G x S only, S the generating
+    sequence of the table: then it holds on all of G x G by induction on
+    the word length of h, since chi(e) = 0 and, for h = ws, chi(gws) =
+    chi(gw) + theta(gw) chi(s) = chi(g) + theta(g) (chi(w) + theta(w)
+    chi(s)) = chi(g) + theta(g) chi(h), theta being multiplicative.
     """
 
     def __init__(self, group: FiniteGroup, modulus: int, values,
                  twist: Optional[Orientation] = None):
         super().__init__(group, 1, modulus, values, twist)
-        v = self.values
-        gens = _generating_sequence(group)
-        if twist is None:
-            expect = (v[:, None] + v[gens][None, :]) % modulus
-        else:
-            # units times values in Python integers, exact at any modulus
-            th = np.array(twist.unit_values, dtype=object)
-            expect = (v[:, None] + th[:, None] * v[gens][None, :]) % modulus
-        if not np.array_equal(v[group.mul[:, gens]], expect):
+        if _dc(group, self.values, 1, modulus, _generating_sequence(group),
+               twist).any():
             raise ValueError("values do not satisfy the (crossed) "
                              "homomorphism law")
 
@@ -272,30 +277,44 @@ def character(group: FiniteGroup, values, modulus: int,
 # differential and cup product
 # ---------------------------------------------------------------------------
 
+def _dc(group: FiniteGroup, values, degree: int, modulus: int, last=None,
+        twist: Optional[Orientation] = None) -> np.ndarray:
+    """dc of a normalized cochain of degree d <= 2, with entry [g_1, ...,
+    g_d, k] at (g_1, ..., g_d, last[k]); the last slot runs over ``last``
+    (every element when None).  ``values`` holds the cochain on every
+    d-tuple of elements, and trailing axes ride along, so they may hold
+    linear forms.  With ``last`` a generating set, dc = 0 iff the result
+    is zero (fact (a) of ``_Complex``; the induction of ``Character``;
+    in degree 0, theta(s) c = c on S).  Sums run in Python integers under
+    a twist and when a partial sum, up to 2 (m - 1), could wrap int64."""
+    v = _exact(np.asarray(values), 2 * (modulus - 1) if twist is None
+               else 2 ** 63)
+    k = np.arange(group.order) if last is None else np.asarray(last, np.intp)
+    gk = group.mul[:, k]
+    # dc = theta(g_1) c(g_2, ...) + rest
+    if degree == 0:
+        first = np.repeat(v[None], len(k), axis=0)
+        rest = -first
+    elif degree == 1:
+        first, rest = v[k][None], v[:, None] - v[gk]
+    else:
+        first = v[:, k][None]
+        rest = (v[np.arange(group.order)[:, None, None], gk[None]]
+                - first[0][group.mul] - v[:, :, None])
+    if twist is not None:
+        units = np.array(twist.unit_values, dtype=object)
+        first = first * units[k if degree == 0 else slice(None)].reshape(
+            (-1,) + (1,) * (first.ndim - 1))
+    return ((first + rest) % modulus).astype(np.int64, copy=False)
+
+
 def coboundary(c: Cochain) -> Cochain:
     """The differential; raises DegreeTooHigh above degree 2."""
     if c.degree > 2:
         raise DegreeTooHigh("coboundary supports degrees 0..2")
-    g = c.group
-    mul = g.mul
-    m = c.modulus
-    v = c.values
-    if c.twist is None:
-        theta = np.ones(g.order, dtype=np.int64)
-    else:
-        # units times values in Python integers, exact at any modulus
-        theta = np.array(c.twist.unit_values, dtype=object)
-        v = v.astype(object)
-    if c.degree == 0:
-        out = (theta * v - v) % m
-    elif c.degree == 1:
-        out = (theta[:, None] * v[None, :] - v[mul] + v[:, None]) % m
-    else:
-        out = (theta[:, None, None] * v[None, :, :]
-               - v[mul]                       # f(g h, k)
-               + v[:, mul]                    # f(g, h k)
-               - v[:, :, None]) % m
-    return Cochain(g, c.degree + 1, m, out, c.twist)
+    return Cochain(c.group, c.degree + 1, c.modulus,
+                   _dc(c.group, c.values, c.degree, c.modulus, twist=c.twist),
+                   c.twist)
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -306,8 +325,9 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
         raise ValueError("twisted cup products are not supported")
     if a.degree + b.degree > 3:
         raise DegreeTooHigh("cup supports total degree at most 3")
-    vals = np.multiply.outer(a.values, b.values) % a.modulus
-    return Cochain(a.group, a.degree + b.degree, a.modulus, vals)
+    m = a.modulus
+    vals = np.multiply.outer(_exact(a.values, (m - 1) ** 2), b.values) % m
+    return Cochain(a.group, a.degree + b.degree, m, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +362,20 @@ def _gs_d1(group: FiniteGroup, gens, theta=None) -> np.ndarray:
 
 
 class _Complex:
-    """Coboundary matrices and solvers of one finite group mod p, in
-    generating-set coordinates.
+    """Solvers and bases of one finite group mod p, in generating-set
+    coordinates.
 
     Cochains are coordinatized over tuples of non-identity elements (the
     normalized ones), in the element order of the group with the
     identity removed; ``flatten`` and ``unflatten`` use these
-    coordinates.  The matrices and solvers on C^2, though, keep only the
-    rows (g, s), g non-identity and s in a generating set S read off the
-    table (``groups._generating_sequence``), at row g |S| + s;
+    coordinates.  The solver and coordinates on C^2, though, keep only
+    the rows (g, s), g non-identity and s in a generating set S read off
+    the table (``groups._generating_sequence``), at row g |S| + s;
     ``gs_entries`` picks them out of a flattened 2-cochain and ``cup_gs``
-    computes them for a cup of two 1-cochains.  Nothing a
-    cocycle needs is lost (Brown, Cohomology of Groups, for the bar
-    complex; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, ch. 7, for cohomology through generators):
+    computes them for a cup of two 1-cochains; ``_dc`` tests cocycles on
+    G x G x S.  Nothing a cocycle needs is lost (Brown, Cohomology of
+    Groups, for the bar complex; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 7, for cohomology through generators):
 
     (a) from d(dc) = 0, dc(g, h, ks) = dc(h, k, s) - dc(gh, k, s)
         + dc(g, hk, s) + dc(g, h, k), so by induction on word length a
@@ -391,7 +411,6 @@ class _Complex:
         self.col_of = col
         self.gens = np.array(_generating_sequence(group), dtype=np.int64)
         self.gens_col = col[self.gens]
-        self._d1 = None
         self._d1_solver = None
         self._z1 = None
         self._z2 = None
@@ -436,17 +455,9 @@ class _Complex:
     # -- degree 1 -----------------------------------------------------------
 
     @property
-    def d1(self) -> np.ndarray:
-        """Matrix of C^1 -> C^2 on the G x S rows:
-        (df)(g, s) = f(g) + f(s) - f(gs)."""
-        if self._d1 is None:
-            self._d1 = _gs_d1(self.group, self.gens) % self.p
-        return self._d1
-
-    @property
     def d1_solver(self) -> PrimeSolver:
-        """The solver of ``d1``, built from the Cayley tree by
-        ``_tree_d1_solver``; it also gives ``z1``."""
+        """The solver of d1 on the G x S rows, built from the Cayley tree
+        by ``_tree_d1_solver``; it also gives ``z1``."""
         if self._d1_solver is None:
             self._d1_solver, self._z1 = _tree_d1_solver(self)
         return self._d1_solver
@@ -468,26 +479,11 @@ class _Complex:
 
     # -- degree 2 -----------------------------------------------------------
 
-    def _cocycle_rows(self, c) -> np.ndarray:
-        """The G x G x S rows of d2: dc(g, h, s) = c(h, s) - c(gh, s)
-        + c(g, hs) - c(g, h) at [g, h, s], for c given on every pair of
-        elements as ``c[x, y]`` (zero where x or y is the identity), with
-        values or, along trailing axes, linear forms in unknowns."""
-        mul = self.group.mul
-        gens = self.gens
-        g = np.arange(self.group.order)[:, None, None]
-        at_s = c[:, gens]
-        return (at_s[None] - at_s[mul]
-                + c[g, mul[:, gens][None]] - c[:, :, None]) % self.p
-
     def is_cocycle(self, flat) -> bool:
         """Whether a flattened 2-cochain is a cocycle, by (a): only the
         G x G x S entries of its coboundary are computed."""
-        n = self.group.order
-        c = np.zeros((n, n), dtype=np.int64)
-        c[np.ix_(self.nonid, self.nonid)] = np.asarray(flat).reshape(
-            self.ne, self.ne)
-        return not self._cocycle_rows(c).any()
+        c = self.unflatten(flat, 2)
+        return not _dc(c.group, c.values, 2, self.p, self.gens).any()
 
     @property
     def z2(self) -> np.ndarray:
@@ -518,7 +514,8 @@ class _Complex:
                 x, k = parent[y]
                 walk[:, y] = (walk[:, x] + on_gs[g.mul[:, x], k]
                               - on_gs[x, k]) % p
-            rows = self._cocycle_rows(walk).reshape(n * n * ns, unknowns)
+            rows = _dc(g, walk, 2, p, self.gens).reshape(n * n * ns,
+                                                          unknowns)
             kernel = nullspace_array(rows[rows.any(axis=1)], p)
             cocycles = np.einsum(
                 "kj,hxj->khx", kernel,
@@ -570,9 +567,9 @@ _D1_BLOCK_ROWS = 512
 
 
 def _tree_d1_solver(cx: _Complex) -> tuple[PrimeSolver, np.ndarray]:
-    """The solver of ``cx.d1`` and the character basis ``z1``, read off a
-    BFS tree of the Cayley graph (edges x -> x s) rather than a row
-    reduction of [d1 | I].
+    """The solver of d1 on the G x S rows of ``cx`` and the character
+    basis ``z1``, read off a BFS tree of the Cayley graph (edges
+    x -> x s) rather than a row reduction of [d1 | I].
 
     A 1-cochain f with df = b on G x S has f(xs) = f(x) + f(s) - b(x, s).
     Walking the tree from f(e) = 0 gives each f(y) as a linear form in b
@@ -589,11 +586,15 @@ def _tree_d1_solver(cx: _Complex) -> tuple[PrimeSolver, np.ndarray]:
     solution is x = f - z1^T f[free].  Its values at the pivots, as
     forms in b, stacked over C, make the rows x rows transform T with
     T.d1 = [E(d1); 0] that ``PrimeSolver`` keeps.  No product is larger
-    than (rows x |S|) times (|S| x rows).
+    than (rows x |S|) times (|S| x rows), and T, the largest array, is
+    refused past ``_BYTE_BOUND`` bytes before anything is built.
     """
     g, p = cx.group, cx.p
     n, ne, ns = g.order, cx.ne, len(cx.gens)
     rows = ne * ns
+    if rows * rows * 8 > _BYTE_BOUND:
+        raise BudgetExceeded(f"a {rows} x {rows} degree-1 solver transform "
+                             f"exceeds {_BYTE_BOUND >> 20} MiB")
     order, parent = _cayley_tree(g, cx.gens)
     # the tree edge (up[y], s_k) into y, k = gen[y], is d1 row
     # tree_row[y] (-1 where up[y] is the identity, which has no rows)
@@ -690,25 +691,19 @@ def cochain_complex(group: FiniteGroup, p: int) -> _Complex:
 
 def is_coboundary(z: Cochain) -> Optional[Cochain]:
     """A primitive f with df = z, or None; degrees 1 and 2 only.  The
-    cocycle test reads the rows of the generating-set complex: d1 on
-    G x S in degree 1 (dz is a cocycle, zero iff zero there) and the
-    G x G x S rows in degree 2."""
+    cocycle test evaluates dz with its last slot on the generating set
+    (``_dc``): on G x S in degree 1, on G x G x S in degree 2."""
     if z.degree not in (1, 2):
         raise DegreeTooHigh("coboundary decisions for degrees 1 and 2 only")
     if z.twist is not None:
         raise ValueError("twisted coboundary decisions are not supported")
-    if not is_prime(z.modulus):
-        raise NonPrimeModulus("prime modulus required")
     cx = cochain_complex(z.group, z.modulus)
-    flat = cx.flatten(z)
+    if _dc(z.group, z.values, z.degree, z.modulus, cx.gens).any():
+        raise NotACocycle("input is not a cocycle")
     if z.degree == 1:
-        if ((cx.d1 @ flat) % cx.p).any():
-            raise NotACocycle("input is not a cocycle")
         # primitives are constants; untwisted constants have zero boundary
         return zero_cochain(z.group, 0, z.modulus) if z.is_zero() else None
-    if not cx.is_cocycle(flat):
-        raise NotACocycle("input is not a cocycle")
-    sol = cx.d1_solver.solve(cx.gs_entries(flat))
+    sol = cx.d1_solver.solve(cx.gs_entries(cx.flatten(z)))
     return None if sol is None else cx.unflatten(sol, 1)
 
 
@@ -716,8 +711,6 @@ def h_basis(group: FiniteGroup, degree: int, modulus: int) -> list[CohomClass]:
     """Representatives of a basis of H^degree(G, Z/p), degree 1 or 2."""
     if degree not in (1, 2):
         raise ValueError("h_basis supports degrees 1 and 2")
-    if not is_prime(modulus):
-        raise NonPrimeModulus(f"{modulus} is not prime")
     cx = cochain_complex(group, modulus)
     if degree == 1:
         return [CohomClass(cx.unflatten(row, 1)) for row in cx.z1]

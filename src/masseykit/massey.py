@@ -76,9 +76,11 @@ from .errors import (
 )
 from . import gf_core
 from .cohomology import (
+    _BYTE_BOUND,
     Character,
     Cochain,
     CohomClass,
+    _dc,
     _restriction_matrix,
     characters_of,
     cochain_complex,
@@ -126,7 +128,6 @@ __all__ = [
 
 DEFAULT_STATUS_BUDGET = 2 ** 20
 DEFAULT_LIFT_BUDGET = 2 ** 20
-STATUS_ORDER_LIMIT = 32
 
 
 def _about(count: int) -> str:
@@ -173,23 +174,24 @@ def _cup_rhs(cx, a: dict, i: int, j: int) -> np.ndarray:
 
 def validate_defining_system(ds: DefiningSystem,
                              chars: Sequence[Character]) -> bool:
-    """Both defining-system conditions, checked exactly on the G x S rows
-    of the group's generating-set complex (``cochain_complex``).
+    """Both defining-system conditions, checked exactly on G x S, S the
+    generating set of the group's complex, for all entries at once.
 
-    Each superdiagonal entry must equal its character and have d1 a = 0
+    Each superdiagonal entry must equal its character and have da = 0
     on G x S; da is a cocycle, so it then vanishes by fact (b) of the
     complex, and a is a homomorphism.  Each inner entry must make the
     G x S entries of d(a[i][j]) + sum_l a[i][l] cup a[l][j] vanish.  By
     induction on j - i, once the lower layers hold that residual is a
     normalized 2-cocycle, which (b) makes zero when it vanishes on G x S;
-    so the check is exact.  Entries or characters on another group or
-    modulus, and twisted or non-degree-1 entries, raise ValueError.
+    so the check is exact.  With A(g) the matrix of the entries at g, the
+    residuals are the entries of dA(g, s) + A(g) A(s).  Entries or
+    characters on another group or modulus, and twisted or non-degree-1
+    entries, raise ValueError.
     """
     n = ds.n
     if len(chars) != n:
         return False
-    want = set(_system_positions(n))
-    if set(ds.entries) != want:
+    if set(ds.entries) != set(_system_positions(n)):
         return False
     for c in [*ds.entries.values(), *chars]:
         if c.group is not ds.group or c.modulus != ds.prime:
@@ -198,15 +200,18 @@ def validate_defining_system(ds: DefiningSystem,
     if any(c.degree != 1 or c.twist is not None
            for c in ds.entries.values()):
         raise ValueError("entries must be untwisted 1-cochains")
+    if any(not np.array_equal(ds.entry(i, i + 1).values, c.values)
+           for i, c in enumerate(chars, 1)):
+        return False
     cx = cochain_complex(ds.group, ds.prime)
-    a = {key: cx.char_vec(c) for key, c in ds.entries.items()}
-    for i in range(1, n + 1):
-        if not np.array_equal(ds.entry(i, i + 1).values, chars[i - 1].values):
-            return False
-        if ((cx.d1 @ a[(i, i + 1)]) % cx.p).any():
-            return False
-    return not any(((cx.d1 @ a[(i, j)] - _cup_rhs(cx, a, i, j)) % cx.p).any()
-                   for (i, j) in want if j - i >= 2)
+    a = np.zeros((ds.group.order, n + 1, n + 1), dtype=np.int64)
+    for (i, j), c in ds.entries.items():
+        a[:, i - 1, j - 1] = c.values
+    # dA = -A(g) A(s) off the corner (not an entry), with no int64 sum
+    cups = _mod_matmul(a[:, None], a[cx.gens], cx.p)
+    residual = _dc(ds.group, a, 1, cx.p, cx.gens) != -cups % cx.p
+    residual[..., 0, n] = False
+    return not residual.any()
 
 
 def defining_system_value(ds: DefiningSystem) -> CohomClass:
@@ -284,7 +289,8 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
     subspace, which one solve decides (n = 3 sweeps nothing).  ``budget``
     bounds the combinations enumerated, summed over the swept offsets and
     checked before each is enumerated; ``BudgetExceeded`` carries the
-    statistics gathered so far.
+    statistics gathered so far.  No order is capped: the d1 solver and
+    each feasibility matrix refuse past 2^28 bytes, before they are built.
     """
     n = len(chars)
     if n < 2:
@@ -295,9 +301,6 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
             raise ValueError("untwisted characters required")
         if c.group is not group or c.modulus != p:
             raise ValueError("characters must live on the given group mod p")
-    if group.order > STATUS_ORDER_LIMIT:
-        raise BudgetExceeded(
-            f"status decisions capped at order {STATUS_ORDER_LIMIT}")
     cx = cochain_complex(group, p)
     z1, z, solve = cx.z1, len(cx.z1), cx.d1_solver.solve
     a = {(i, i + 1): cx.char_vec(c) for i, c in enumerate(chars, 1)}
@@ -338,7 +341,7 @@ def massey_status_finite(group: FiniteGroup, chars: Sequence[Character],
             stack.pop()
         elif m < n - 1:
             if m not in lins:
-                lins[m] = _feasibility_matrix(cx, a, n, m)
+                lins[m] = _feasibility_matrix(cx, a, n, m, stats)
             rhs = [-cx.cokernel_coords(_cup_rhs(cx, b, i, j)) % p
                    for i, j in _offset_keys(n, m + 1)]
             feas = gf_core.solve_array(lins[m], np.concatenate(rhs), p)
@@ -386,17 +389,22 @@ def _offset_keys(n: int, m: int) -> list:
     return [(i, i + m) for i in range(1, n + 2 - m)]
 
 
-def _feasibility_matrix(cx, a: dict, n: int, m: int) -> np.ndarray:
+def _feasibility_matrix(cx, a: dict, n: int, m: int,
+                        stats: dict) -> np.ndarray:
     """The offset-(m + 1) right-hand sides' cokernel coordinates as a
     linear map of the offset-m character coefficients, a row block per
     target a[i][j] and a column block per offset-m entry: a[i][j-1] enters
-    through a[i][j-1] cup a[j-1][j], a[i+1][j] through a[i][i+1] cup it."""
+    through a[i][j-1] cup a[j-1][j], a[i+1][j] through a[i][i+1] cup it.
+    Past ``_BYTE_BOUND`` bytes it raises ``BudgetExceeded`` unbuilt."""
     p, z1, coords = cx.p, cx.z1, cx.cokernel_coords
     z = len(z1)
     nrows = cx.d1_solver.rows - cx.d1_solver.rank
     targets = _offset_keys(n, m + 1)
-    lin = np.zeros((len(targets) * nrows, (len(targets) + 1) * z),
-                   dtype=np.int64)
+    shape = (len(targets) * nrows, (len(targets) + 1) * z)
+    if shape[0] * shape[1] * 8 > _BYTE_BOUND:
+        raise BudgetExceeded(f"a {shape[0]} x {shape[1]} feasibility matrix "
+                             f"exceeds {_BYTE_BOUND >> 20} MiB", stats)
+    lin = np.zeros(shape, dtype=np.int64)
     for t, (i, j) in enumerate(targets):
         rows = slice(t * nrows, (t + 1) * nrows)
         lin[rows, (t + 1) * z:(t + 2) * z] = (
@@ -898,7 +906,8 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
     The right side looks for phi, psi in Hom(H, Z/2) with transfers chi2
     and chi3, phi cup res(chi3) zero, and phi cup psi either zero
     (vanishing clause) or in the image of restriction (definedness
-    clause); both sides are computed independently and compared.
+    clause); both sides are computed independently and compared.  The
+    one order cap is that of G's H^2 basis (``H2_ORDER_LIMIT``).
     """
     p = 2
     for c in (chi1, chi2, chi3):
@@ -906,8 +915,6 @@ def degenerate_fourfold_criterion(group: FiniteGroup, chi1: Character,
             raise ValueError("mod-2 characters required")
     if not chi1.is_surjective_mod_p():
         raise ValueError("chi1 must be nonzero")
-    if group.order > 16:
-        raise BudgetExceeded("fourfold criterion capped at order 16")
     lhs = massey_status_finite(group, [chi1, chi2, chi3, chi1])
     h = kernel_of_character(group, chi1)
     hchars = characters_of(h.as_group, p)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from masseykit import cli
+from masseykit import cohomology as chm
 from masseykit import groups as grp
 from masseykit.errors import BudgetExceeded
 
@@ -200,6 +201,68 @@ def test_massey_long_tuple_exceeds_budget(tmp_path, capsys):
     # the 361-digit combination count is printed as a power of ten
     assert len(err.splitlines()) == 1 and len(err) < 120, err
     assert "about 10^361" in err
+
+
+def test_massey_long_tuple_refuses_a_large_feasibility_system(tmp_path,
+                                                              capsys):
+    # 1,200 characters on an order-32 group: the offset-3 feasibility
+    # system would be 39,534 x 2,398 int64 (0.71 GiB); it is refused
+    # before it is built
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "type": "finite-group", "group": "product(4,8)", "prime": 2,
+        "characters": [[0] * 32] * 1200}))
+    start = time.perf_counter()
+    assert cli.main(["massey", "--input", str(doc)]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:"), err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert "39534 x 2398" in err
+
+
+def test_massey_finite_route_past_order_32(tmp_path):
+    # dihedral(64) is decided by the finite route, as by the lift search
+    # on its presentation
+    g = grp.catalog("dihedral(64)")
+    pres = g.known_presentation
+    by_gens = {tuple(int(c.values[x]) for x in g.generator_map): c
+               for c in chm.characters_of(g, 2)}
+    rows = [[1, 1], [1, 0], [1, 1]]
+    doc = tmp_path / "finite.json"
+    doc.write_text(json.dumps({
+        "type": "finite-group", "group": "dihedral(64)", "prime": 2,
+        "characters": [by_gens[tuple(r)].values.tolist() for r in rows]}))
+    code, finite = run(["massey", "--input", str(doc)], tmp_path)
+    assert code == 0
+    doc = tmp_path / "lift.json"
+    doc.write_text(json.dumps({
+        "type": "presentation", "generators": pres.generator_count,
+        "relators": [list(r) for r in pres.relators], "characters": rows}))
+    code, lifted = run(["massey", "--input", str(doc)], tmp_path, "lift.json")
+    assert code == 0
+    assert finite["verdicts"]["status"] == lifted["verdicts"]["status"] \
+        == "Vanishes"
+
+
+def test_massey_refuses_a_degree_one_solver_past_the_byte_bound(
+        tmp_path, capsys, monkeypatch):
+    # elementary(2,10): a 10230 x 10230 transform, refused before the
+    # solver's Cayley tree is walked (the catalog walks its own)
+    def refuse(*args):
+        raise AssertionError("the degree-1 solver started building")
+
+    monkeypatch.setattr(chm, "_cayley_tree", refuse)
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({
+        "type": "finite-group", "group": "elementary(2,10)", "prime": 2,
+        "characters": [[0] * 1024] * 3}))
+    start = time.perf_counter()
+    assert cli.main(["massey", "--input", str(doc)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:"), err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.filterwarnings("error")

@@ -104,6 +104,67 @@ def test_normalization_enforced():
     assert c.values[g.identity] == 0
 
 
+def _reference_d(c):
+    """dc in Python integers, by the raw formula, on every tuple of
+    elements; untwisted."""
+    g, d, m = c.group, c.degree, c.modulus
+
+    def f(t):
+        return int(c.values[t])
+
+    out = {}
+    for t in itertools.product(range(g.order), repeat=d + 1):
+        total = f(t[1:]) + (-1) ** (d + 1) * f(t[:-1])
+        for i in range(d):
+            total += (-1) ** (i + 1) * f(
+                t[:i] + (g.mul_idx(t[i], t[i + 1]),) + t[i + 2:])
+        out[t] = total % m
+    return out
+
+
+def test_coboundary_is_exact_past_2_62():
+    # a partial sum of the differential's terms reaches 2 (m - 1), past
+    # int64 for 2^62 < m < 2^63
+    rng = random.Random(62)
+    for name in ("cyclic(4)", "dihedral(6)"):
+        g = gr.catalog(name)
+        for degree in (0, 1, 2):
+            for _ in range(4):
+                m = rng.randrange(2 ** 62 + 1, 2 ** 63)
+                c = random_cochain(rng, g, degree, m)
+                dc = chm.coboundary(c).values
+                assert all(int(dc[t]) == v
+                           for t, v in _reference_d(c).items()), (name, m)
+    # a true homomorphism Z/4 -> Z/4k, and one value off
+    k = 2 ** 61 - 1
+    z4 = gr.catalog("cyclic(4)")
+    chi = chm.character(z4, [0, 3 * k, 2 * k, k], 4 * k)
+    chm.CohomClass(chi)
+    with pytest.raises(ValueError, match="homomorphism law"):
+        chm.character(z4, [0, 3 * k, 2 * k, k + 1], 4 * k)
+
+
+def test_cochain_arithmetic_is_exact_at_large_moduli():
+    # products of values pass int64 once (m - 1)^2 >= 2^63, sums once
+    # 2 (m - 1) >= 2^63
+    rng = random.Random(32)
+    g = gr.catalog("dihedral(6)")
+    for _ in range(12):
+        m = rng.randrange(2 ** 32, 2 ** 63)
+        a = random_cochain(rng, g, 1, m)
+        b = random_cochain(rng, g, 1, m)
+        x, y = a.values.tolist(), b.values.tolist()
+        assert chm.cup(a, b).values.tolist() == [
+            [u * v % m for v in y] for u in x]
+        assert (a + b).values.tolist() == [(u + v) % m for u, v in zip(x, y)]
+        assert (a - b).values.tolist() == [(u - v) % m for u, v in zip(x, y)]
+        c = rng.randrange(-2 ** 64, 2 ** 64)
+        assert a.scale(c).values.tolist() == [u * c % m for u in x]
+    z4 = gr.catalog("cyclic(4)")
+    assert chm.cochain(z4, 1, 5, [0, 1, 2, 3]).scale(
+        2 ** 62).values.tolist() == [0, 4, 3, 2]
+
+
 # ---------------------------------------------------------------------------
 # cup product
 # ---------------------------------------------------------------------------
@@ -293,17 +354,18 @@ def test_tree_d1_solver_matches_row_reduced_d1(p):
         g = gr.catalog(name)
         cx = chm.cochain_complex(g, p)
         tree, dense = cx.d1_solver, row_reduced_d1_solver(g, p)
+        d1 = chm._gs_d1(g, cx.gens) % p
         assert tree.pivots == dense.pivots, name
         assert np.array_equal(tree.echelon, dense.echelon), name
         z1 = dense.kernel_basis()
         assert cx.z1.shape == z1.shape and cx.z1.tobytes() == z1.tobytes()
         assert tree.transform.shape == dense.transform.shape, name
-        back = tree.transform @ cx.d1 % p
+        back = tree.transform @ d1 % p
         assert np.array_equal(back[:tree.rank], tree.echelon), name
         assert not back[tree.rank:].any(), name
         for _ in range(20):
             x = np.array([rng.randrange(p) for _ in range(cx.ne)])
-            b = cx.d1 @ x % p
+            b = d1 @ x % p
             assert np.array_equal(tree.solve(b), dense.solve(b)), name
         refused = 0
         for _ in range(20):
@@ -395,15 +457,34 @@ def test_degree_one_at_order_1024_within_budget(name, dim_z1):
     assert done - solved < 0.5
     assert len(z1) == dim_z1
     rng = np.random.default_rng(1024)
+    d1 = chm._gs_d1(g, cx.gens) % 2
     spent = []
     for _ in range(3):
-        b = cx.d1 @ rng.integers(0, 2, cx.ne) % 2
+        b = d1 @ rng.integers(0, 2, cx.ne) % 2
         start = time.perf_counter()
         x = solver.solve(b)
         spent.append(time.perf_counter() - start)
-        assert np.array_equal(cx.d1 @ x % 2, b)
+        assert np.array_equal(d1 @ x % 2, b)
     # the best of three, so that one preempted solve does not fail it
     assert min(spent) < 0.020
+
+
+def test_degree_one_refuses_a_transform_past_the_byte_bound(monkeypatch):
+    # elementary(2,10) has ten generators: a 10230 x 10230 int64
+    # transform (837 MB), refused before the Cayley tree is walked
+    g = gr.catalog("elementary(2,10)")
+
+    def refuse(*args):
+        raise AssertionError("the degree-1 solver started building")
+
+    monkeypatch.setattr(gr, "_cayley_tree", refuse)
+    monkeypatch.setattr(chm, "_cayley_tree", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="10230 x 10230"):
+        chm.characters_of(g, 2)
+    with pytest.raises(BudgetExceeded):
+        chm.h_basis(g, 1, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_z2_matches_gs_kernel_at_orders_27_and_32():

@@ -1135,6 +1135,27 @@ def test_fourfold_sweep_exhaustive_elementary8():
             assert rep.agree
 
 
+def test_fourfold_sweep_exhaustive_at_order_32():
+    # every (chi1, chi2, chi3), chi1 != 0, past the old order-16 cap: the
+    # criterion agrees with the finite route on all 48 tuples of each
+    # group; counts of (defined, vanishes), pinned as measured
+    counts = {}
+    for name in ("dihedral(32)", "product(4,8)"):
+        g = gr.catalog(name)
+        cs = chars_of(g)
+        nonzero = [c for c in cs if c.values.any()]
+        for chi1, chi2, chi3 in itertools.product(nonzero, cs, cs):
+            rep = msy.degenerate_fourfold_criterion(g, chi1, chi2, chi3)
+            assert rep.agree, (name, chi1.values.tolist(),
+                               chi2.values.tolist(), chi3.values.tolist())
+            key = (name, rep.lhs_defined, rep.lhs_vanishes)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        ("dihedral(32)", True, True): 7, ("dihedral(32)", False, False): 41,
+        ("product(4,8)", True, True): 10, ("product(4,8)", False, False): 36,
+        ("product(4,8)", True, False): 2}
+
+
 DEGREE_TWO_PINNED_GROUPS = (
     "cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(8)",
     "cyclic(9)", "cyclic(16)", "product(2,2)", "product(2,4)",
@@ -1208,9 +1229,40 @@ def test_degree_two_decisions_build_only_d1_solvers(monkeypatch):
         builds.clear()
         rep = msy.degenerate_fourfold_criterion(g, chi1, chi2, chi3)
         assert rep.agree
-        h = gr.kernel_of_character(g, chi1)
-        assert builds == [chm.cochain_complex(h.as_group, 2).d1.shape]
+        hx = chm.cochain_complex(gr.kernel_of_character(g, chi1).as_group, 2)
+        assert builds == [(hx.ne * len(hx.gens), hx.ne)]
         assert row_reductions == []
+
+
+def test_no_library_path_builds_a_degree_three_cochain(monkeypatch):
+    # cocycle tests evaluate dc with its last slot on a generating set, so
+    # degree-2 classes never form their |G|^3 coboundary
+    init = chm.Cochain.__init__
+
+    def refuse_degree_three(self, group, degree, *args, **kwargs):
+        if degree == 3:
+            raise AssertionError("a degree-3 cochain was built")
+        init(self, group, degree, *args, **kwargs)
+
+    monkeypatch.setattr(chm.Cochain, "__init__", refuse_degree_three)
+    g = gr.catalog("dihedral(8)")
+    cx = chm.cochain_complex(g, 2)
+    for row in cx.z2:
+        chm.CohomClass(cx.unflatten(row, 2))
+    assert len(chm.h_basis(g, 2, 2)) == 3
+    cs = chars_of(g)
+    seen = set()
+    for tup in itertools.product(cs, repeat=3):
+        rep = msy.massey_status_finite(g, list(tup))
+        if rep.witness is not None:
+            value = msy.defining_system_value(rep.witness)
+            seen.add(value.is_zero_class())
+    assert seen == {True}
+    h = gr.kernel_of_character(g, cs[1])
+    for chi in cs[1:]:
+        beta = chm.bockstein(chi)
+        assert chm.restriction(beta, h).degree == 2
+        assert chm.four_term_exactness(g, chi).exact
 
 
 # ---------------------------------------------------------------------------
